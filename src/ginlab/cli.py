@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, heat, kernel, stationary_phase
 from ._rng import stream
+from .errors import UsageError
 from .group_integrals import (
     exact_shape,
     fit_shape_constant,
@@ -137,10 +138,6 @@ def _parse_bins(text: str) -> np.ndarray:
     return edges
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _resolve(value, env_name: str, default, cast):
     if value is not None:
         return value
@@ -148,7 +145,7 @@ def _resolve(value, env_name: str, default, cast):
     if env is not None:
         try:
             return cast(env)
-        except (ValueError, UsageError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad {env_name}={env!r}: {exc}") from exc
     return default
 

@@ -21,15 +21,20 @@ Monte Carlo draws use block-keyed RNG streams (seed, block index) with a
 fixed block size, and the per-draw values are reduced in index order, so
 estimates are bit-reproducible for any worker partition on block
 boundaries.  Quadratures are deterministic and single-threaded.
+
+The two-point determinant moment E_n[det(M - x1) det(M - x2)] of the
+sampler's duality check is also here, as an exact finite sum.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import stream
+from .errors import UsageError
 from .pfaffian import canonical_symplectic, pfaffian
-from .sampler import Estimate
+from .sampler import Estimate, _check_samples, _estimate
 
 HAAR_BLOCK = 4096
 UNITARITY_TOL = 1e-12
@@ -57,7 +62,7 @@ def to_skew_unitary(u: np.ndarray) -> np.ndarray:
     """W = U J U^T: skew-symmetric unitary from a unitary of even size."""
     k = u.shape[-1]
     if k % 2:
-        raise ValueError(f"skew-symmetric unitaries need even size, got {k}")
+        raise UsageError(f"skew-symmetric unitaries need even size, got {k}")
     j = canonical_symplectic(k)
     w = u @ j @ np.swapaxes(u, -1, -2)
     skew_defect = np.max(np.abs(w + np.swapaxes(w, -1, -2)))
@@ -77,9 +82,9 @@ def symplectic_dual(h: np.ndarray) -> np.ndarray:
 def _ordered_even(points) -> np.ndarray:
     x = np.asarray(points, dtype=float).reshape(-1)
     if len(x) % 2:
-        raise ValueError(f"even number of points required, got {len(x)}")
+        raise UsageError(f"even number of points required, got {len(x)}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
+        raise UsageError("points must be finite")
     return x
 
 
@@ -118,10 +123,11 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     configs = [_ordered_even(c) for c in configs]
     k = len(configs[0])
     if any(len(c) != k for c in configs):
-        raise ValueError("all configurations must have the same size")
+        raise UsageError("all configurations must have the same size")
     ts = [float(t) for t in ts]
     if any(t <= 0 for t in ts):
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
+    _check_samples(samples)
     tr_vals = np.empty((len(configs), samples))
     done = 0
     b = 0
@@ -135,21 +141,7 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
             tr_vals[ci, done:done + take] = np.sum(np.abs(d) ** 2, axis=(1, 2))
         done += take
         b += 1
-    out = []
-    for ci in range(len(configs)):
-        row = []
-        for t in ts:
-            v = np.exp(-tr_vals[ci] / (2.0 * t))
-            row.append(
-                Estimate(
-                    mean=float(v.mean()),
-                    stderr=float(v.std(ddof=1) / np.sqrt(samples)),
-                    n_samples=samples,
-                    seed=seed,
-                )
-            )
-        out.append(row)
-    return out
+    return [[_estimate(np.exp(-tr / (2.0 * t)), seed) for t in ts] for tr in tr_vals]
 
 
 def integral_quadrature_k2(x1: float, x2: float, t: float, nodes: int = 512) -> float:
@@ -161,7 +153,7 @@ def integral_quadrature_k2(x1: float, x2: float, t: float, nodes: int = 512) -> 
     below 1e-10 at the default node count).
     """
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     x = np.array([x1, x2], dtype=float)
     xd = np.diag(x).astype(complex)
     j = canonical_symplectic(2)
@@ -192,10 +184,10 @@ def exact_shape(points, t: float) -> float:
     """
     x = _ordered_even(points)
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     d = x[None, :] - x[:, None]  # d[i, j] = x_j - x_i
     if np.any((d == 0) & ~np.eye(len(x), dtype=bool)):
-        raise ValueError("points must be distinct")
+        raise UsageError("points must be distinct")
     a = (d / np.sqrt(t)) * np.exp(-d * d / t)
     return float(pfaffian(a)) / vandermonde(x / np.sqrt(t))
 
@@ -241,62 +233,27 @@ def fit_shape_constant(values, configs, ts) -> tuple:
     return rows, spread
 
 
-def charpoly_moment_quadrature(
-    n: int,
-    x1: float,
-    x2: float,
-    radial_nodes: int = 200,
-    angular_nodes: int = 32,
-) -> float:
-    """E_n[det(M - x1) det(M - x2)] by quadrature over one complex variable.
+def charpoly_moment_quadrature(n: int, x1: float, x2: float) -> float:
+    """E_n[det(M - x1) det(M - x2)] as an exact finite sum.
 
     The two-point determinant moment has an exact one-complex-variable
-    integral representation: a standard Gaussian weight against the n-th
-    power of the Pfaffian of [[Z/sqrt(2), X], [-X, Z^dagger/sqrt(2)]] with
-    Z = [[0, z], [-z, 0]].  The Pfaffian orientation is fixed so that n = 1
-    reproduces the direct Gaussian moment x1*x2 + 1/2 (equivalently the
-    integrand is (|z|^2/2 + x1*x2)^n).  Polar Gauss-Legendre in the radius,
-    trapezoid in the periodic angle; the radius is truncated where the
-    Gaussian weight kills the integrand.  Two radial resolutions are
-    compared and disagreement raises.
+    integral representation: a standard complex Gaussian weight
+    exp(-|z|^2) / pi against the n-th power of the Pfaffian of
+    [[Z/sqrt(2), X], [-X, Z^dagger/sqrt(2)]] with Z = [[0, z], [-z, 0]],
+    oriented so that n = 1 reproduces the direct Gaussian moment
+    x1*x2 + 1/2.  That integrand is (|z|^2/2 + x1*x2)^n, and |z|^2 is
+    Exp(1) under the weight, so E[(|z|^2/2)^k] = k!/2^k and the binomial
+    expansion gives
+
+        sum_{k=0}^{n} C(n, k) (x1*x2)^(n-k) k! / 2^k.
+
+    With x1*x2 = a/b exactly (b a power of two) every term is an integer
+    over the common denominator (2b)^n, so the sum is formed in integers
+    and rounded once: the result is the correctly rounded moment at the
+    double x1*x2, even where the terms cancel.
     """
-    if n < 1 or n > 30:
-        raise ValueError(f"supported sizes are 1..30, got {n}")
-
-    # truncate where the radial profile has dropped 1e-18 below its peak
-    p = x1 * x2
-    r2 = np.linspace(0.0, 60.0 + 12.0 * n, 4000)
-    log_profile = n * np.log(np.maximum(np.abs(r2 / 2.0 + p), 1e-300)) - r2
-    cutoff = log_profile.max() - 42.0
-    above = np.nonzero(log_profile >= cutoff)[0]
-    rmax = float(np.sqrt(r2[min(above[-1] + 1, len(r2) - 1)]))
-
-    def run(r_nodes: int) -> float:
-        u, wu = np.polynomial.legendre.leggauss(r_nodes)
-        r = 0.5 * rmax * (u + 1.0)
-        wr = 0.5 * rmax * wu
-        theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-        total = 0.0
-        x = np.diag([x1, x2])
-        for ri, rad in enumerate(r):
-            ang = 0.0
-            for th in theta:
-                z = rad * np.exp(1j * th)
-                zm = np.array([[0.0, z], [-z, 0.0]])
-                s = np.block([[zm / np.sqrt(2.0), x.astype(complex)],
-                              [-x.astype(complex), zm.conj().T / np.sqrt(2.0)]])
-                pf = pfaffian(s)
-                ang += ((-pf) ** n).real
-            ang *= 2.0 * np.pi / angular_nodes
-            total += wr[ri] * rad * np.exp(-rad * rad) * ang
-        return total / np.pi
-
-    radial_nodes = max(radial_nodes, int(25.0 * rmax))
-    coarse = run(radial_nodes)
-    fine = run(int(1.5 * radial_nodes))
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > 1e-8 * scale:
-        raise RuntimeError(
-            f"charpoly quadrature did not converge: {coarse!r} vs {fine!r}"
-        )
-    return float(fine)
+    if n < 1:
+        raise UsageError(f"matrix size must be positive, got {n}")
+    a, b = (float(x1) * float(x2)).as_integer_ratio()
+    total = sum(math.perm(n, k) * a ** (n - k) * b**k * 2 ** (n - k) for k in range(n + 1))
+    return total / (2 * b) ** n

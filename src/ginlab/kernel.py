@@ -17,6 +17,7 @@ exp(-Tr M M^T) matrix normalization; no rescaling is applied here.
 import numpy as np
 from scipy.special import erfc
 
+from .errors import UsageError
 from .pfaffian import pfaffian
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -50,7 +51,7 @@ def gauss_tail_d2(x):
 def moment_constant(k: int) -> float:
     """(4/pi)**(k/4), the even-k normalization fixed by unit coincident pairs."""
     if k <= 0 or k % 2:
-        raise ValueError(f"normalization defined for positive even k, got {k}")
+        raise UsageError(f"normalization defined for positive even k, got {k}")
     return float((4.0 / np.pi) ** (k / 4.0))
 
 
@@ -73,10 +74,10 @@ def kernel_block(z: float) -> np.ndarray:
 def _points(points, *, allow_ties: bool) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1)
     if pts.size < 1 or not np.all(np.isfinite(pts)):
-        raise ValueError("points must be a nonempty finite sequence")
+        raise UsageError("points must be a nonempty finite sequence")
     srt = np.sort(pts)
     if not allow_ties and np.any(np.diff(srt) == 0.0):
-        raise ValueError("coincident points are not allowed here")
+        raise UsageError("coincident points are not allowed here")
     return pts
 
 
@@ -124,7 +125,7 @@ def signed_density(points) -> float:
     pts = _points(points, allow_ties=True)
     k = len(pts)
     if k % 2:
-        raise ValueError(f"signed density needs even k, got {k}")
+        raise UsageError(f"signed density needs even k, got {k}")
     srt, sign = _sort_parity(pts)
     d = srt[None, :] - srt[:, None]
     a = (-d) * np.exp(-d * d)  # a[i, j] = (x_i - x_j) exp(-(x_i-x_j)^2)
@@ -142,7 +143,7 @@ def spin_correlation(points) -> float:
     pts = _points(points, allow_ties=True)
     k = len(pts)
     if k % 2:
-        raise ValueError(f"spin moments need even k, got {k}")
+        raise UsageError(f"spin moments need even k, got {k}")
     srt = np.sort(pts)
     d = srt[None, :] - srt[:, None]  # d[i, j] = x_j - x_i
     a = np.triu(erfc(d), 1)

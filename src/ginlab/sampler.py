@@ -18,14 +18,19 @@ Spin variables: spin(x) of a matrix is (-1)**(number of real eigenvalues
 strictly below x), equivalently the sign of det(M - xI) away from the
 spectrum.  At an eigenvalue the strictly-below count (left limit) is used,
 which makes the weighted counting measures below well defined.
+Both spin estimators reduce one (draws x points) table of spins; the
+signed weight of the eigenvalues in a bin [lo, hi) telescopes to
+(spin(lo) - spin(hi)) / 2.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import gamma
 
 from ._rng import stream
+from .errors import UsageError
 from .linalg import Spectrum, real_schur, sign_det
 
 ENTRY_VARIANCE = 0.5
@@ -93,12 +98,57 @@ class BinnedDensity:
         return self.weighted_counts * self.normalization
 
 
+def _draw(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
+
+
+def _check_samples(samples: int, min_samples: int = 2) -> None:
+    """Reject a sample count below ``min_samples`` (two give a standard error)."""
+    if samples < min_samples:
+        raise UsageError(f"need at least {min_samples} samples, got {samples}")
+
+
+def _draws(n: int, samples: int, seed: int, min_samples: int = 2):
+    """The run's draws in index order, draw i from stream(seed, i).
+
+    The sizes are checked when this is called, before anything is drawn.
+    """
+    if n < 1:
+        raise UsageError(f"matrix size must be positive, got {n}")
+    _check_samples(samples, min_samples)
+    return (_draw(n, stream(seed, i)) for i in range(samples))
+
+
+def _estimate(vals: np.ndarray, seed: int) -> Estimate:
+    """Mean and standard error of per-draw values held in index order."""
+    return Estimate(
+        mean=float(vals.mean()),
+        stderr=float(vals.std(ddof=1) / np.sqrt(len(vals))),
+        n_samples=len(vals),
+        seed=seed,
+    )
+
+
 def sample_ginoe(n: int, rng: np.random.Generator, seed_tag: str = "") -> GinOESample:
     """Draw an n x n matrix with iid N(0, 1/2) entries and classify its spectrum."""
     if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
-    m = rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
+        raise UsageError(f"matrix size must be positive, got {n}")
+    m = _draw(n, rng)
     return GinOESample(matrix=m, spectrum=real_schur(m), seed_tag=seed_tag)
+
+
+def _spins(reals: np.ndarray, points) -> np.ndarray:
+    """(-1)**(number of sorted ``reals`` strictly below each point), as floats."""
+    return np.where(np.searchsorted(reals, points, side="left") % 2, -1.0, 1.0)
+
+
+def _spin_table(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
+    """(samples, len(points)) table of spins; row i belongs to draw i of the run."""
+    draws = _draws(n, samples, seed, min_samples)
+    table = np.empty((samples, len(points)))
+    for i, m in enumerate(draws):
+        table[i] = _spins(real_schur(m).real_eigenvalues, points)
+    return table
 
 
 def spin(sample: GinOESample, x: float, check: bool = True) -> int:
@@ -108,9 +158,7 @@ def spin(sample: GinOESample, x: float, check: bool = True) -> int:
     det(M - xI); a zero determinant sign raises DegenerateShiftError and a
     mismatch (which would indicate a classification bug) raises RuntimeError.
     """
-    reals = sample.spectrum.real_eigenvalues
-    below = int(np.searchsorted(reals, x, side="left"))
-    val = -1 if below % 2 else 1
+    val = int(_spins(sample.spectrum.real_eigenvalues, x))
     if check:
         n = sample.matrix.shape[0]
         sd = sign_det(sample.matrix - x * np.eye(n))
@@ -123,17 +171,12 @@ def spin(sample: GinOESample, x: float, check: bool = True) -> int:
     return val
 
 
-def _spin_products(reals: np.ndarray, points: np.ndarray) -> float:
-    below = np.searchsorted(reals, points, side="left")
-    return -1.0 if int(below.sum()) % 2 else 1.0
-
-
 def _validate_config(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1)
     if not np.all(np.isfinite(pts)):
-        raise ValueError("positions must be finite")
+        raise UsageError("positions must be finite")
     if len(pts) % 2:
-        raise ValueError(f"spin products need an even number of positions, got {len(pts)}")
+        raise UsageError(f"spin products need an even number of positions, got {len(pts)}")
     return BULK_DILATION * pts
 
 
@@ -142,30 +185,13 @@ def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
 
     Each config gets its own mean/stderr; the matrix draws are shared, which
     is what the experiment campaigns want (correlated errors cancel in
-    comparisons across configs).
+    comparisons across configs).  A config's per-draw value is the product
+    of its columns of the spin table.
     """
-    if samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {samples}")
     cfgs = [_validate_config(c) for c in configs]
-    vals = np.empty((len(cfgs), samples))
-    for i in range(samples):
-        rng = stream(seed, i)
-        m = rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
-        reals = real_schur(m).real_eigenvalues
-        for c, cfg in enumerate(cfgs):
-            vals[c, i] = _spin_products(reals, cfg)
-    out = []
-    for c in range(len(cfgs)):
-        v = vals[c]
-        out.append(
-            Estimate(
-                mean=float(v.mean()),
-                stderr=float(v.std(ddof=1) / np.sqrt(samples)),
-                n_samples=samples,
-                seed=seed,
-            )
-        )
-    return out
+    points = np.unique(np.concatenate([np.empty(0), *cfgs]))
+    spins = _spin_table(n, points, samples, seed, MIN_MOMENT_SAMPLES)
+    return [_estimate(spins[:, np.searchsorted(points, c)].prod(axis=1), seed) for c in cfgs]
 
 
 def estimate_spin_moment(n: int, points, samples: int, seed: int) -> Estimate:
@@ -177,26 +203,15 @@ def _as_intervals(bins) -> np.ndarray:
     b = np.asarray(bins, dtype=float)
     if b.ndim == 1:
         if len(b) < 2 or np.any(np.diff(b) <= 0):
-            raise ValueError("edges must be strictly increasing")
+            raise UsageError("edges must be strictly increasing")
         b = np.column_stack([b[:-1], b[1:]])
     if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
-        raise ValueError("bins must be an edge array or an (m, 2) interval array")
+        raise UsageError("bins must be an edge array or an (m, 2) interval array")
     order = np.argsort(b[:, 0])
     b = b[order]
     if np.any(b[1:, 0] < b[:-1, 1]):
-        raise ValueError("bins overlap; the signed-density estimator needs disjoint bins")
+        raise UsageError("bins overlap; the signed-density estimator needs disjoint bins")
     return b
-
-
-def _tuple_parity(idx) -> int:
-    perm = list(np.argsort(idx, kind="stable"))
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 def estimate_signed_density(
@@ -211,34 +226,26 @@ def estimate_signed_density(
 
     For each sample, every k-tuple of distinct real eigenvalues landing in a
     product of k distinct bins contributes the product of spins evaluated at
-    the eigenvalues (strictly-below counts).  The raw measure is symmetric
-    under coordinate swaps; with ``oriented`` each cell additionally carries
-    the parity of its bin-index tuple, producing the antisymmetric
-    (Vandermonde) orientation that matches the closed-form signed density on
-    unordered cells.
+    the eigenvalues (strictly-below counts), so a cell's weight is the
+    product of its bins' weights (spin(lo) - spin(hi)) / 2.  The raw measure
+    is symmetric under coordinate swaps; with ``oriented`` each cell
+    additionally carries the parity of its bin-index tuple, producing the
+    antisymmetric (Vandermonde) orientation that matches the closed-form
+    signed density on unordered cells.
     """
     if k % 2 or k <= 0 or k > 4:
-        raise ValueError(f"supported k are 2 and 4, got {k}")
+        raise UsageError(f"supported k are 2 and 4, got {k}")
     intervals = _as_intervals(np.asarray(bins, dtype=float) * BULK_DILATION)
     m = len(intervals)
     if m < k:
-        raise ValueError(f"need at least k={k} disjoint bins, got {m}")
-    shape = (m,) * k
-    acc = np.zeros(shape)
-    acc2 = np.zeros(shape)
-    for i in range(samples):
-        rng = stream(seed, i)
-        mat = rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
-        reals = real_schur(mat).real_eigenvalues
-        par = np.where(np.arange(len(reals)) % 2, -1.0, 1.0)
-        s = np.array(
-            [par[(reals >= lo) & (reals < hi)].sum() for lo, hi in intervals]
-        )
-        cell = s
-        for _ in range(k - 1):
-            cell = np.multiply.outer(cell, s)
-        acc += cell
-        acc2 += cell * cell
+        raise UsageError(f"need at least k={k} disjoint bins, got {m}")
+    edges = np.unique(intervals)
+    spins = _spin_table(n, edges, samples, seed)
+    lo, hi = np.searchsorted(edges, intervals).T
+    w = (spins[:, lo] - spins[:, hi]) / 2.0
+    cells = {2: "za,zb->ab", 4: "za,zb,zc,zd->abcd"}[k]
+    acc = np.einsum(cells, *[w] * k)
+    acc2 = np.einsum(cells, *[w * w] * k)
     mean = acc / samples
     var = np.maximum(acc2 / samples - mean * mean, 0.0)
     widths = intervals[:, 1] - intervals[:, 0]
@@ -246,15 +253,13 @@ def estimate_signed_density(
     for _ in range(k - 1):
         vol = np.multiply.outer(vol, widths)
     norm = 1.0 / vol
-    stderr = np.sqrt(var / samples) * norm
-    counts = acc.copy()
-    # cells repeating a bin are not disjoint products
-    for idx in np.ndindex(shape):
-        if len(set(idx)) != k:
-            counts[idx] = np.nan
-            stderr[idx] = np.nan
-        elif oriented:
-            counts[idx] *= _tuple_parity(idx)
+    # sign of the bin-index Vandermonde: the tuple's sort parity, and 0 on
+    # cells repeating a bin, which are not disjoint products
+    idx = np.indices((m,) * k)
+    orient = np.sign(np.prod([idx[b] - idx[a] for a, b in combinations(range(k), 2)], axis=0))
+    distinct = orient != 0
+    counts = np.where(distinct, acc * orient if oriented else acc, np.nan)
+    stderr = np.where(distinct, np.sqrt(var / samples) * norm, np.nan)
     return BinnedDensity(
         intervals=intervals / BULK_DILATION,
         k=k,
@@ -280,13 +285,10 @@ def estimate_charpoly_moment(
     ``log_domain``, which estimates the mean log magnitude instead.
     """
     pts = np.asarray(points, dtype=float).reshape(-1)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    draws = _draws(n, samples, seed)
     eye = np.eye(n)
     vals = np.empty(samples)
-    for i in range(samples):
-        rng = stream(seed, i)
-        m = rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
+    for i, m in enumerate(draws):
         sign = 1.0
         logmag = 0.0
         for x in pts:
@@ -302,27 +304,13 @@ def estimate_charpoly_moment(
                     "rerun with log_domain=True"
                 )
             vals[i] = sign * np.exp(logmag)
-    return Estimate(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(samples)),
-        n_samples=samples,
-        seed=seed,
-    )
+    return _estimate(vals, seed)
 
 
 def estimate_real_count(n: int, samples: int, seed: int) -> Estimate:
     """Mean number of real eigenvalues of an n x n draw."""
-    vals = np.empty(samples)
-    for i in range(samples):
-        rng = stream(seed, i)
-        m = rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
-        vals[i] = len(real_schur(m).real_eigenvalues)
-    return Estimate(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(samples)),
-        n_samples=samples,
-        seed=seed,
-    )
+    counts = [len(real_schur(m).real_eigenvalues) for m in _draws(n, samples, seed)]
+    return _estimate(np.array(counts, dtype=float), seed)
 
 
 def sphere_area(m: int) -> float:
@@ -360,8 +348,10 @@ def duality_check(
 
     LHS: the (0, 1) cell of the binned signed density around the two points.
     RHS: V(x) / 16 * prod_{k=1,2} |S_{n-k}| pi**(-(n-k)/2) exp(-x_k**2)
-         times E_{n-2}[det(M - x_1) det(M - x_2)], the latter either by
-         deterministic quadrature ("quadrature") or Monte Carlo ("mc").
+         times E_{n-2}[det(M - x_1) det(M - x_2)], the latter either
+         exactly, by the finite sum of
+         :func:`.group_integrals.charpoly_moment_quadrature` ("quadrature"),
+         or by Monte Carlo ("mc").
 
     The ratio should not depend on the configuration; the absolute constant
     is reported, not asserted.  Raises if the LHS is too noisy to be
@@ -369,9 +359,11 @@ def duality_check(
     """
     pts = np.sort(np.asarray(points, dtype=float).reshape(-1))
     if len(pts) != 2 or pts[1] - pts[0] < 2 * halfwidth:
-        raise ValueError("need two points separated by at least the bin width")
+        raise UsageError("need two points separated by at least the bin width")
     if n <= 2:
-        raise ValueError("matrix size must exceed the number of points")
+        raise UsageError("matrix size must exceed the number of points")
+    if moment not in ("quadrature", "mc"):
+        raise UsageError(f"unknown moment method {moment!r}")
     bins = np.array([[pts[0] - halfwidth, pts[0] + halfwidth],
                      [pts[1] - halfwidth, pts[1] + halfwidth]])
     # bin in raw matrix units: this identity is exact at finite n
@@ -395,11 +387,9 @@ def duality_check(
 
         mom = charpoly_moment_quadrature(n - 2, pts[0], pts[1])
         mom_se = 0.0
-    elif moment == "mc":
+    else:
         est = estimate_charpoly_moment(n - 2, pts, samples, seed + 1)
         mom, mom_se = est.mean, est.stderr
-    else:
-        raise ValueError(f"unknown moment method {moment!r}")
     rhs = prefactor * mom
     rhs_se = abs(prefactor) * mom_se
     ratio = lhs / rhs

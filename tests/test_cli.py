@@ -147,6 +147,17 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     code = run_cli(["mc-spins", "--points", "zebra", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "usage error" in capsys.readouterr().err
+    # parameter checks inside the library, all raised before anything is drawn
+    for argv in (
+        ["mc-spins", "--n", "0"],
+        ["mc-spins", "--samples", "50"],
+        ["mc-spins", "--points", "0.1"],
+        ["lemma1", "--n", "2"],
+        ["mc-density", "--bins=0:1:1"],
+        ["kernel-table", "--points", "nan"],
+    ):
+        assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_env_override_precedence(tmp_path, monkeypatch):

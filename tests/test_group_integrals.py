@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from ginlab.group_integrals import (
     to_skew_unitary,
     vandermonde,
 )
+from ginlab.errors import UsageError
 from ginlab.pfaffian import canonical_symplectic, pfaffian
 
 
@@ -186,7 +190,7 @@ def test_charpoly_quadrature_small_n_closed_forms():
         )
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("n", [4, 8, 16, 40])
 def test_charpoly_quadrature_vs_laguerre_oracle(n):
     # the radial profile is exactly int_0^inf e^-s (s/2 + x1 x2)^n ds
     x1, x2 = -0.4, 0.9
@@ -200,9 +204,18 @@ def test_charpoly_quadrature_even_moment_positive():
     assert charpoly_moment_quadrature(6, 0.0, 0.0) > 0
 
 
-def test_charpoly_quadrature_size_cap():
-    with pytest.raises(ValueError):
-        charpoly_moment_quadrature(31, 0.0, 0.0)
+def test_charpoly_quadrature_rejects_empty_size():
+    with pytest.raises(UsageError):
+        charpoly_moment_quadrature(0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, x1, x2", [(8, -0.4, 0.4), (32, -1.5, 2.369), (60, 1.1, 0.7)])
+def test_charpoly_quadrature_is_correctly_rounded(n, x1, x2):
+    # the finite sum in exact rationals at the double x1*x2; (32, -1.5, 2.369)
+    # sits near a root, where adding rounded terms loses ten digits
+    p = Fraction(x1 * x2)
+    exact = sum(comb(n, k) * p ** (n - k) * Fraction(factorial(k), 2**k) for k in range(n + 1))
+    assert charpoly_moment_quadrature(n, x1, x2) == float(exact)
 
 
 def test_vandermonde():

@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from ginlab._rng import stream
+from ginlab.errors import UsageError
+from ginlab.group_integrals import integral_mc_grid
 from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
 from ginlab.linalg import real_schur
 from ginlab.sampler import (
@@ -10,6 +16,7 @@ from ginlab.sampler import (
     ENTRY_VARIANCE,
     DegenerateShiftError,
     GinOESample,
+    _spins,
     duality_check,
     estimate_charpoly_moment,
     estimate_real_count,
@@ -275,3 +282,83 @@ def test_duality_formula_antisymmetry():
     assert charpoly_moment_quadrature(4, -0.2, 0.6) == pytest.approx(
         charpoly_moment_quadrature(4, 0.6, -0.2), rel=1e-12
     )
+
+
+def test_too_few_samples_rejected_before_drawing():
+    with pytest.raises(UsageError, match="at least 2 samples"):
+        estimate_real_count(10, 1, seed=1)
+    with pytest.raises(UsageError, match="at least 2 samples"):
+        estimate_signed_density(10, [-1.0, 0.0, 1.0], 2, 0, seed=1)
+    with pytest.raises(UsageError, match="at least 2 samples"):
+        integral_mc_grid([(-0.5, 0.7)], [1.0], 1, seed=1)
+    with pytest.raises(UsageError, match="at least 100 samples"):
+        estimate_spin_moments(10, [(0.0, 0.5)], 99, seed=1)
+
+
+@given(
+    reals=st.lists(st.floats(-5.0, 5.0), unique=True, max_size=12).map(sorted),
+    edges=st.lists(st.floats(-6.0, 6.0), unique=True, min_size=2, max_size=8).map(sorted),
+)
+def test_bin_weight_is_spin_difference(reals, edges):
+    # disjoint bins [e0, e1), [e2, e3), ...: alternate gaps between the edges
+    reals = np.array(reals)
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        weight = (_spins(reals, lo) - _spins(reals, hi)) / 2.0
+        direct = sum((-1) ** int(np.sum(reals < lam)) for lam in reals if lo <= lam < hi)
+        assert weight == direct
+
+
+def _digest(a):
+    a = np.where(np.isnan(a), np.nan, a)
+    return hashlib.sha256(a.astype("<f8").tobytes()).hexdigest()[:16]
+
+
+def _hex(est):
+    return (est.mean.hex(), est.stderr.hex())
+
+
+#: float.hex of seeded estimates (sha256 prefixes of the float64 bytes for
+#: the density arrays: weighted_counts, normalization, stderr, values),
+#: recorded with the per-draw eigenvalue-binning estimators.
+GOLDEN = {
+    "spin_moments": [
+        ("0x1.eeeeeeeeeeeefp-2", "0x1.48b566d508459p-4"),
+        ("0x1.bbbbbbbbbbbbcp-3", "0x1.6e8f780ae3e9cp-4"),
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ],
+    "density_k2_False": ("3759e739273d3686", "c2d61dad603acc11", "09b2d95da5b42d1f", "e45d84db7955572d"),
+    "density_k2_True": ("449f4d676206d007", "c2d61dad603acc11", "09b2d95da5b42d1f", "baefe1ed5d8a79ee"),
+    "density_k4_False": ("de811a180813cb31", "40de85c90f06a61e", "ca875849bc6fd1d7", "d22bc348bad807df"),
+    "density_k4_True": ("65b9e382b23de627", "40de85c90f06a61e", "ca875849bc6fd1d7", "29471161aa536b7c"),
+    "real_count": ("0x1.7333333333333p+1", "0x1.82a371ea89cb5p-3"),
+    "charpoly": ("-0x1.b8eda736d6b1dp+1", "0x1.c8b2d628434d6p+1"),
+    "charpoly_log": ("-0x1.77db932b090bep+0", "0x1.1a9ce75c4d513p-1"),
+    "mc_grid": [
+        [("0x1.0914706ed9d5bp-4", "0x1.b17cabf56b2d1p-9"), ("0x1.b89ce14e0b9b5p-3", "0x1.63e55e6aab121p-8")],
+        [("0x1.193638560f1b8p-2", "0x1.751d19e529194p-8"), ("0x1.fa7fb2fb87ae8p-2", "0x1.5ab1833f8fba2p-8")],
+    ],
+}
+
+
+def test_seeded_estimates_are_bit_identical():
+    got = {}
+    spin_cfgs = [(0.0, 0.5), (-0.3, 0.1, 0.4, 0.9), (0.4, 0.4)]
+    got["spin_moments"] = [_hex(e) for e in estimate_spin_moments(8, spin_cfgs, 120, 3)]
+    # one gap, between -0.1 and 0.1; the other bins share edges
+    bins = [[-4.0, -1.5], [-1.5, -0.1], [0.1, 1.5], [1.5, 4.0]]
+    for k in (2, 4):
+        for oriented in (False, True):
+            d = estimate_signed_density(30, bins, k, 100, 4, oriented=oriented)
+            got[f"density_k{k}_{oriented}"] = tuple(
+                _digest(a) for a in (d.weighted_counts, d.normalization, d.stderr, d.values)
+            )
+    got["real_count"] = _hex(estimate_real_count(7, 40, 5))
+    got["charpoly"] = _hex(estimate_charpoly_moment(5, (-0.3, 0.2, 0.6), 40, 6))
+    got["charpoly_log"] = _hex(
+        estimate_charpoly_moment(5, (-0.3, 0.2, 0.6), 40, 6, log_domain=True)
+    )
+    grid = integral_mc_grid(
+        [(-0.9, -0.3, 0.3, 0.9), (-0.6, -0.2, 0.2, 0.6)], [0.8, 1.5], 300, 9, block=128
+    )
+    got["mc_grid"] = [[_hex(e) for e in row] for row in grid]
+    assert got == GOLDEN
