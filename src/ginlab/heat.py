@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .kernel import moment_constant
 from .pfaffian import pfaffian
 
@@ -35,7 +36,7 @@ PROJECTOR_TOL = 1e-12
 def heat_kernel(t: float, x):
     """(pi t / 2)**-0.5 * exp(-2 x^2 / t); unit mass, variance t/4."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     x = np.asarray(x, dtype=float)
     out = np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
     return float(out) if out.ndim == 0 else out
@@ -44,7 +45,7 @@ def heat_kernel(t: float, x):
 def heat_kernel_d1(t: float, x):
     """d/dx of heat_kernel."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     x = np.asarray(x, dtype=float)
     out = (-4.0 * x / t) * np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
     return float(out) if out.ndim == 0 else out
@@ -59,9 +60,9 @@ def signed_density_t(points, t: float) -> float:
     x = np.asarray(points, dtype=float).reshape(-1)
     k = len(x)
     if k % 2:
-        raise ValueError(f"even number of points required, got {k}")
+        raise UsageError(f"even number of points required, got {k}")
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     d = x[:, None] - x[None, :]
     a = heat_kernel_d1(2.0 * t, d)
     return float(moment_constant(k) / math.factorial(k) * pfaffian(a))
@@ -79,7 +80,7 @@ def flat_heat_residual(fn, points, t: float, h: float, diffusion: float = 0.125)
     ``fn(points, t)`` must be smooth near the evaluation node and t > h.
     """
     if t <= h:
-        raise ValueError("need t > h for the centered time difference")
+        raise UsageError("need t > h for the centered time difference")
     x = np.asarray(points, dtype=float).reshape(-1)
     dt = (fn(x, t + h) - fn(x, t - h)) / (2.0 * h)
     lap = 0.0
@@ -115,7 +116,7 @@ def projector_solution(p: np.ndarray, t: float, x) -> float:
     """
     p = np.asarray(p, dtype=float)
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("projector must be square")
     if np.max(np.abs(p - p.T)) > PROJECTOR_TOL * max(1.0, np.max(np.abs(p))):
@@ -222,7 +223,7 @@ def initial_condition_check(
     """
     ts = sorted(float(t) for t in t_sequence)
     if len(ts) < 2 or ts[0] <= 0:
-        raise ValueError("need at least two positive times")
+        raise UsageError("need at least two positive times")
     far = max(
         abs(float(test_fn(np.array(half_range + 2.0), np.array(0.0)))),
         abs(float(test_fn(np.array(0.0), np.array(half_range + 2.0)))),

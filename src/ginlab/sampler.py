@@ -15,12 +15,19 @@ Conventions
   for any worker partition of the index range.
 
 Spin variables: spin(x) of a matrix is (-1)**(number of real eigenvalues
-strictly below x), equivalently the sign of det(M - xI) away from the
-spectrum.  At an eigenvalue the strictly-below count (left limit) is used,
-which makes the weighted counting measures below well defined.
-Both spin estimators reduce one (draws x points) table of spins; the
+strictly below x), which is the sign of det(M - xI) away from the spectrum.
+Both spin estimators reduce one (draws x points) table of spins, and that
+table is built from determinant signs, not eigenvalues: each block of draws
+is shifted by every point into one stack and a single batched
+``np.linalg.slogdet`` gives all the signs.  A zero sign (a point on the
+spectrum to working precision) raises :class:`DegenerateShiftError`.  The
 signed weight of the eigenvalues in a bin [lo, hi) telescopes to
-(spin(lo) - spin(hi)) / 2.
+(spin(lo) - spin(hi)) / 2.  The Monte Carlo characteristic-polynomial
+moment reads the same stack of shifted determinants, sign and log
+magnitude.  The real-eigenvalue count, :func:`sample_ginoe` and
+``spin(sample, x, check=True)`` still classify the spectrum structurally
+through the real Schur form; there, at an eigenvalue, the strictly-below
+count (left limit) is used.
 """
 
 from dataclasses import dataclass
@@ -29,13 +36,17 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gamma
 
-from ._rng import stream
+from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
 from .errors import UsageError
 from .linalg import Spectrum, real_schur, sign_det
 
 ENTRY_VARIANCE = 0.5
 BULK_DILATION = 1.0
 MIN_MOMENT_SAMPLES = 100
+# Bytes of one stack of shifted draws handed to a batched slogdet: a block
+# stays cache-sized and adds nothing measurable to a run's peak memory (at
+# n=100 with four points a block is one draw).
+_SHIFT_BLOCK_BYTES = 1 << 18
 
 
 class DegenerateShiftError(RuntimeError):
@@ -116,7 +127,7 @@ def _draws(n: int, samples: int, seed: int, min_samples: int = 2):
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     _check_samples(samples, min_samples)
-    return (_draw(n, stream(seed, i)) for i in range(samples))
+    return (_draw(n, rng) for rng in streams(seed, samples))
 
 
 def _estimate(vals: np.ndarray, seed: int) -> Estimate:
@@ -142,12 +153,36 @@ def _spins(reals: np.ndarray, points) -> np.ndarray:
     return np.where(np.searchsorted(reals, points, side="left") % 2, -1.0, 1.0)
 
 
-def _spin_table(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
-    """(samples, len(points)) table of spins; row i belongs to draw i of the run."""
+def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
+    """Yield (sign, logabsdet) of det(M_i - x_j I) a block of draws at a time.
+
+    Each yielded array is (draws in block, points), rows in draw order; a
+    block holds as many draws as keep their shifted stack within
+    _SHIFT_BLOCK_BYTES, and at least one.
+    """
     draws = _draws(n, samples, seed, min_samples)
-    table = np.empty((samples, len(points)))
-    for i, m in enumerate(draws):
-        table[i] = _spins(real_schur(m).real_eigenvalues, points)
+    p = len(points)
+    block = max(1, _SHIFT_BLOCK_BYTES // (8 * max(p, 1) * n * n))
+    diagonal = np.arange(n) * (n + 1)
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        stack = np.empty((count, p, n * n))
+        for row, m in zip(stack, draws):
+            row[:] = m.reshape(-1)
+        stack[:, :, diagonal] -= points[:, None]
+        yield np.linalg.slogdet(stack.reshape(count, p, n, n))
+
+
+def _spin_table(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
+    """(samples, len(points)) table of spins sign det(M_i - x_j I); row i is draw i."""
+    table = np.concatenate(
+        [sign for sign, _ in _shifted_slogdets(n, points, samples, seed, min_samples)]
+    )
+    if not table.all():
+        i, j = np.argwhere(table == 0)[0]
+        raise DegenerateShiftError(
+            f"det(M - {float(points[j])!r} I) is zero for draw {i} of seed {seed}"
+        )
     return table
 
 
@@ -285,26 +320,21 @@ def estimate_charpoly_moment(
     ``log_domain``, which estimates the mean log magnitude instead.
     """
     pts = np.asarray(points, dtype=float).reshape(-1)
-    draws = _draws(n, samples, seed)
-    eye = np.eye(n)
-    vals = np.empty(samples)
-    for i, m in enumerate(draws):
-        sign = 1.0
-        logmag = 0.0
-        for x in pts:
-            s, l = np.linalg.slogdet(m - x * eye)
-            sign *= s
-            logmag += l
+    vals = []
+    for sign, logabs in _shifted_slogdets(n, pts, samples, seed):
+        logmag = np.zeros(len(sign))
+        for col in logabs.T:  # point order, as a per-draw running sum would add
+            logmag += col
         if log_domain:
-            vals[i] = logmag
-        else:
-            if logmag > 700.0:
-                raise OverflowError(
-                    "determinant product exceeds the double range; "
-                    "rerun with log_domain=True"
-                )
-            vals[i] = sign * np.exp(logmag)
-    return _estimate(vals, seed)
+            vals.append(logmag)
+            continue
+        if np.any(logmag > 700.0):
+            raise OverflowError(
+                "determinant product exceeds the double range; "
+                "rerun with log_domain=True"
+            )
+        vals.append(sign.prod(axis=1) * np.exp(logmag))
+    return _estimate(np.concatenate(vals), seed)
 
 
 def estimate_real_count(n: int, samples: int, seed: int) -> Estimate:

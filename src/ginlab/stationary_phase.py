@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .group_integrals import vandermonde
 from .pfaffian import Matching, enumerate_matchings, inversions, matching_sign, pfaffian
 
@@ -31,11 +32,11 @@ PHASE_CONVENTION = -1j
 def _ordered_points(points, two_k=None) -> np.ndarray:
     x = np.asarray(points, dtype=float).reshape(-1)
     if len(x) < 2 or len(x) % 2:
-        raise ValueError(f"need an even number of points, got {len(x)}")
+        raise UsageError(f"need an even number of points, got {len(x)}")
     if two_k is not None and len(x) != two_k:
-        raise ValueError(f"matching of size {two_k} against {len(x)} points")
+        raise UsageError(f"matching of size {two_k} against {len(x)} points")
     if np.any(np.diff(x) <= 0):
-        raise ValueError("points must be strictly increasing")
+        raise UsageError("points must be strictly increasing")
     return x
 
 
@@ -62,7 +63,7 @@ def find_max_matching(points) -> Matching:
     """
     x = _ordered_points(points)
     if len(x) > 12:
-        raise ValueError("exhaustive search capped at 12 points")
+        raise UsageError("exhaustive search capped at 12 points")
     ms = enumerate_matchings(len(x))
     vals = [critical_value(m, x) for m in ms]
     return ms[_argmax_with_tie_check(vals)]
@@ -190,9 +191,9 @@ def matchings_phase_sum(points, t: float) -> complex:
     """
     x = _ordered_points(points)
     if len(x) > 10:
-        raise ValueError("phase sum capped at 10 points")
+        raise UsageError("phase sum capped at 10 points")
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     kk = len(x) // 2
     inv_it = PHASE_CONVENTION / t
     total = 0.0 + 0.0j
@@ -211,7 +212,7 @@ def phase_pfaffian_ratio(points, t: float) -> complex:
     """Pf[((x_j - x_i)/sqrt(t)) exp(-(x_i - x_j)^2/(it))] / V(x/sqrt(t))."""
     x = _ordered_points(points)
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     inv_it = PHASE_CONVENTION / t
     d = x[None, :] - x[:, None]
     a = (d / np.sqrt(t)) * np.exp(-d * d * inv_it)
@@ -227,6 +228,6 @@ def laplace_leading(points, t: float) -> float:
     """
     x = _ordered_points(points)
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise UsageError("t must be positive")
     gaps = x[1::2] - x[0::2]
     return float(np.prod(gaps) / vandermonde(x) * np.exp(-np.sum(gaps * gaps) / t))

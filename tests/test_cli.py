@@ -155,6 +155,8 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["lemma1", "--n", "2"],
         ["mc-density", "--bins=0:1:1"],
         ["kernel-table", "--points", "nan"],
+        ["stationary-phase", "--points", "0.3,0.9,1.6"],
+        ["heat-check", "--t-grid", "0.1"],
     ):
         assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
         assert "usage error" in capsys.readouterr().err

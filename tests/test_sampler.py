@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from ginlab._rng import stream
+from ginlab._rng import stream, streams
 from ginlab.errors import UsageError
 from ginlab.group_integrals import integral_mc_grid
 from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
@@ -16,6 +16,9 @@ from ginlab.sampler import (
     ENTRY_VARIANCE,
     DegenerateShiftError,
     GinOESample,
+    _draw,
+    _draws,
+    _spin_table,
     _spins,
     duality_check,
     estimate_charpoly_moment,
@@ -306,6 +309,47 @@ def test_bin_weight_is_spin_difference(reals, edges):
         weight = (_spins(reals, lo) - _spins(reals, hi)) / 2.0
         direct = sum((-1) ** int(np.sum(reals < lam)) for lam in reals if lo <= lam < hi)
         assert weight == direct
+
+
+@given(
+    n=st.integers(1, 12),
+    points=st.lists(st.floats(-5.0, 5.0), unique=True, min_size=1, max_size=6).map(sorted),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_determinant_sign_spins_match_eigenvalue_spins(n, points, seed):
+    points = np.array(points)
+    table = _spin_table(n, points, 3, seed)
+    for i, row in enumerate(table):
+        m = _draw(n, stream(seed, i))
+        assert np.array_equal(row, _spins(real_schur(m).real_eigenvalues, points))
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5])
+def test_draw_loop_reproduces_per_draw_streams(seed):
+    for n in (1, 7):
+        for i, m in enumerate(_draws(n, 40, seed)):
+            assert np.array_equal(m, _draw(n, stream(seed, i)))
+    # an odd count of 32-bit words leaves one buffered; the re-key must drop it
+    for i, rng in enumerate(streams(seed, 5)):
+        got = rng.integers(0, 2**32, size=3)
+        assert np.array_equal(got, stream(seed, i).integers(0, 2**32, size=3))
+
+
+def test_streams_held_together_are_independent():
+    a, b = stream(12, 0), stream(12, 1)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    first = a.normal(size=5)
+    b.normal(size=5)
+    second = a.normal(size=5)
+    fresh = stream(12, 0).normal(size=10)
+    assert np.array_equal(np.concatenate([first, second]), fresh)
+
+
+def test_spin_table_raises_on_a_zero_determinant_sign():
+    seed = 41
+    a = _draw(1, stream(seed, 0))[0, 0]  # draw 0 is the 1 x 1 matrix [a]
+    with pytest.raises(DegenerateShiftError):
+        estimate_spin_moments(1, [(a, a + 1.0)], 100, seed)
 
 
 def _digest(a):
