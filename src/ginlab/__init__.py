@@ -11,7 +11,7 @@ from .kernel import (
     signed_density,
     spin_correlation,
 )
-from .linalg import Spectrum, complex_qr, real_schur, sign_det
+from .linalg import Spectrum, real_schur, sign_det
 from .pfaffian import (
     Matching,
     canonical_symplectic,
@@ -43,7 +43,6 @@ __all__ = [
     "Matching",
     "Spectrum",
     "canonical_symplectic",
-    "complex_qr",
     "correlation",
     "duality_check",
     "enumerate_matchings",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .errors import UsageError
+from .errors import UsageError, point_array, positive_time
 from .pfaffian import canonical_symplectic, pfaffian
 from .sampler import Estimate, _check_samples, _estimate
 
@@ -40,18 +40,13 @@ HAAR_BLOCK = 4096
 UNITARITY_TOL = 1e-12
 
 
-def haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed k x k unitary.
+def haar_unitaries(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, k, k) stack of independent Haar unitaries.
 
-    QR of a complex Gaussian matrix with the column phases fixed by the
+    QR of complex Gaussian matrices with the column phases fixed by the
     diagonal of R; without the phase correction the distribution is not
     Haar.
     """
-    return haar_unitaries(k, 1, rng)[0]
-
-
-def haar_unitaries(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A (count, k, k) stack of independent Haar unitaries."""
     a = (rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(a)
     d = np.einsum("mii->mi", r)
@@ -79,24 +74,16 @@ def symplectic_dual(h: np.ndarray) -> np.ndarray:
     return -j @ np.swapaxes(h, -1, -2) @ j
 
 
-def _ordered_even(points) -> np.ndarray:
-    x = np.asarray(points, dtype=float).reshape(-1)
-    if len(x) % 2:
-        raise UsageError(f"even number of points required, got {len(x)}")
-    if not np.all(np.isfinite(x)):
-        raise UsageError("points must be finite")
-    return x
-
-
 def integrand_pair(u: np.ndarray, points, t: float = 1.0):
     """Both integrand forms evaluated on the same unitary.
 
     Returns (a, b): ``a`` is exp(-Tr((H - H^R)^2)/(2t)) with H = U X U^dagger;
     ``b`` is prod exp(-x^2/t) * exp(Tr(W^dagger X W X)/t) with W = U J U^T.
     The two agree as integrals over Haar measure (the skew-unitary variable
-    is reshuffled), not pointwise.
+    is reshuffled), not pointwise.  A test oracle for the Monte Carlo
+    integrand; the package itself does not call it.
     """
-    x = _ordered_even(points)
+    x = point_array(points, even=True)
     xd = np.diag(x).astype(complex)
     h = u @ xd @ u.conj().T
     d = h - symplectic_dual(h)
@@ -107,12 +94,6 @@ def integrand_pair(u: np.ndarray, points, t: float = 1.0):
     return a, b
 
 
-def integral_mc(points, t: float, samples: int, seed: int, block: int = HAAR_BLOCK) -> Estimate:
-    """Haar Monte Carlo estimate of I_t at one configuration."""
-    vals = integral_mc_grid([points], [t], samples, seed, block)[0][0]
-    return vals
-
-
 def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLOCK):
     """I_t estimates on a (config, t) grid sharing one set of Haar draws.
 
@@ -120,13 +101,11 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     paired comparison, and costs one QR sweep instead of one per grid node.
     Returns a list of lists of Estimates, indexed [config][t].
     """
-    configs = [_ordered_even(c) for c in configs]
+    configs = [point_array(c, even=True) for c in configs]
+    if len({len(c) for c in configs}) != 1:
+        raise UsageError("need one or more configurations, all of the same size")
     k = len(configs[0])
-    if any(len(c) != k for c in configs):
-        raise UsageError("all configurations must have the same size")
-    ts = [float(t) for t in ts]
-    if any(t <= 0 for t in ts):
-        raise UsageError("t must be positive")
+    ts = [positive_time(t) for t in ts]
     _check_samples(samples)
     tr_vals = np.empty((len(configs), samples))
     done = 0
@@ -152,9 +131,8 @@ def integral_quadrature_k2(x1: float, x2: float, t: float, nodes: int = 512) -> 
     periodic smooth integrand converges spectrally (absolute accuracy well
     below 1e-10 at the default node count).
     """
-    if t <= 0:
-        raise UsageError("t must be positive")
-    x = np.array([x1, x2], dtype=float)
+    t = positive_time(t)
+    x = point_array((x1, x2))
     xd = np.diag(x).astype(complex)
     j = canonical_symplectic(2)
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
@@ -182,9 +160,8 @@ def exact_shape(points, t: float) -> float:
     constant.  Depends on x and t only through x/sqrt(t); invariant under
     permutations of the points (Pfaffian and Vandermonde signs cancel).
     """
-    x = _ordered_even(points)
-    if t <= 0:
-        raise UsageError("t must be positive")
+    x = point_array(points, even=True)
+    t = positive_time(t)
     d = x[None, :] - x[:, None]  # d[i, j] = x_j - x_i
     if np.any((d == 0) & ~np.eye(len(x), dtype=bool)):
         raise UsageError("points must be distinct")
@@ -207,7 +184,8 @@ def fit_shape_constant(values, configs, ts) -> tuple:
 
     ``values`` is whatever estimator produced I_t on the (config, t) grid:
     Estimates or plain floats, indexed [config][t].  Returns (rows, spread)
-    where spread is max |fitted/reference - 1| over the grid.
+    where spread is max |fitted/reference - 1| over the grid (NaN if any
+    node is NaN).
     """
     rows = []
     ref = None
@@ -229,7 +207,7 @@ def fit_shape_constant(values, configs, ts) -> tuple:
                     fitted_constant=c,
                 )
             )
-    spread = max(abs(r.fitted_constant / ref - 1.0) for r in rows)
+    spread = float(np.max([abs(r.fitted_constant / ref - 1.0) for r in rows]))
     return rows, spread
 
 
@@ -254,6 +232,7 @@ def charpoly_moment_quadrature(n: int, x1: float, x2: float) -> float:
     """
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
-    a, b = (float(x1) * float(x2)).as_integer_ratio()
+    x1, x2 = point_array((x1, x2))
+    a, b = float(x1 * x2).as_integer_ratio()
     total = sum(math.perm(n, k) * a ** (n - k) * b**k * 2 ** (n - k) for k in range(n + 1))
     return total / (2 * b) ** n

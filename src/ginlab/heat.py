@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, point_array, positive_time
 from .kernel import moment_constant
 from .pfaffian import pfaffian
 
@@ -35,8 +35,7 @@ PROJECTOR_TOL = 1e-12
 
 def heat_kernel(t: float, x):
     """(pi t / 2)**-0.5 * exp(-2 x^2 / t); unit mass, variance t/4."""
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     x = np.asarray(x, dtype=float)
     out = np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
     return float(out) if out.ndim == 0 else out
@@ -44,8 +43,7 @@ def heat_kernel(t: float, x):
 
 def heat_kernel_d1(t: float, x):
     """d/dx of heat_kernel."""
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     x = np.asarray(x, dtype=float)
     out = (-4.0 * x / t) * np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
     return float(out) if out.ndim == 0 else out
@@ -57,12 +55,9 @@ def signed_density_t(points, t: float) -> float:
     The entry function is odd, so the matrix is antisymmetric for any
     argument order; swapping two points flips the sign.
     """
-    x = np.asarray(points, dtype=float).reshape(-1)
+    x = point_array(points, even=True)
+    t = positive_time(t)
     k = len(x)
-    if k % 2:
-        raise UsageError(f"even number of points required, got {k}")
-    if t <= 0:
-        raise UsageError("t must be positive")
     d = x[:, None] - x[None, :]
     a = heat_kernel_d1(2.0 * t, d)
     return float(moment_constant(k) / math.factorial(k) * pfaffian(a))
@@ -79,9 +74,9 @@ def flat_heat_residual(fn, points, t: float, h: float, diffusion: float = 0.125)
 
     ``fn(points, t)`` must be smooth near the evaluation node and t > h.
     """
-    if t <= h:
+    if not t > h:
         raise UsageError("need t > h for the centered time difference")
-    x = np.asarray(points, dtype=float).reshape(-1)
+    x = point_array(points)
     dt = (fn(x, t + h) - fn(x, t - h)) / (2.0 * h)
     lap = 0.0
     f0 = fn(x, t)
@@ -92,11 +87,6 @@ def flat_heat_residual(fn, points, t: float, h: float, diffusion: float = 0.125)
         xm[i] -= h
         lap += (fn(xp, t) - 2.0 * f0 + fn(xm, t)) / (h * h)
     return float(dt - diffusion * lap)
-
-
-def heat_residual(points, t: float, h: float = 1e-3) -> float:
-    """Residual of the 1/8-Laplacian heat operator on signed_density_t."""
-    return flat_heat_residual(signed_density_t, points, t, h)
 
 
 def residual_order(fn, points, t: float, h: float) -> float:
@@ -115,8 +105,7 @@ def projector_solution(p: np.ndarray, t: float, x) -> float:
     is read off the trace.  Non-projector input raises.
     """
     p = np.asarray(p, dtype=float)
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("projector must be square")
     if np.max(np.abs(p - p.T)) > PROJECTOR_TOL * max(1.0, np.max(np.abs(p))):
@@ -155,7 +144,8 @@ def hermitian_projector(w: np.ndarray) -> np.ndarray:
 
     For a skew-symmetric unitary W this is an orthogonal projector of rank
     (k^2 + k)/2; returned in the orthonormal basis of :func:`hermitian_basis`,
-    ready for :func:`projector_solution`.
+    ready for :func:`projector_solution`.  A test oracle for the rank of the
+    matrix integral's heat-flow prefactor; the package itself does not call it.
     """
     w = np.asarray(w, dtype=complex)
     k = w.shape[0]
@@ -221,8 +211,8 @@ def initial_condition_check(
     O(t) rate) and the independently computed target.  Raises for test
     functions that do not decay.
     """
-    ts = sorted(float(t) for t in t_sequence)
-    if len(ts) < 2 or ts[0] <= 0:
+    ts = sorted(positive_time(t) for t in t_sequence)
+    if len(ts) < 2:
         raise UsageError("need at least two positive times")
     far = max(
         abs(float(test_fn(np.array(half_range + 2.0), np.array(0.0)))),

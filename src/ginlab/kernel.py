@@ -17,7 +17,7 @@ exp(-Tr M M^T) matrix normalization; no rescaling is applied here.
 import numpy as np
 from scipy.special import erfc
 
-from .errors import UsageError
+from .errors import UsageError, point_array
 from .pfaffian import pfaffian
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -71,32 +71,11 @@ def kernel_block(z: float) -> np.ndarray:
     return np.array([[-d2, -d1], [d1, corner]])
 
 
-def _points(points, *, allow_ties: bool) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1)
-    if pts.size < 1 or not np.all(np.isfinite(pts)):
-        raise UsageError("points must be a nonempty finite sequence")
-    srt = np.sort(pts)
-    if not allow_ties and np.any(np.diff(srt) == 0.0):
-        raise UsageError("coincident points are not allowed here")
-    return pts
-
-
-def _sort_parity(pts: np.ndarray):
-    order = np.argsort(pts, kind="stable")
-    perm = list(order)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return pts[order], sign
-
-
 def correlation_matrix(points) -> np.ndarray:
     """The 2k x 2k antisymmetric matrix with (i, j) block kernel_block(x_j - x_i)."""
-    pts = _points(points, allow_ties=False)
-    pts = np.sort(pts)
+    pts = np.sort(point_array(points))
+    if np.any(np.diff(pts) == 0.0):
+        raise UsageError("coincident points are not allowed here")
     k = len(pts)
     a = np.empty((2 * k, 2 * k))
     for i in range(k):
@@ -119,17 +98,13 @@ def signed_density(points) -> float:
 
         (4/pi)**(k/4) * Pf[(x_i - x_j) * exp(-(x_i - x_j)**2)]_{i<j}
 
-    Antisymmetric under argument transpositions: unordered input is sorted
-    internally and the value picks up the sort parity.
+    Antisymmetric under argument transpositions: the matrix is taken in
+    input order, and the Pfaffian carries the sign of any reordering.
     """
-    pts = _points(points, allow_ties=True)
-    k = len(pts)
-    if k % 2:
-        raise UsageError(f"signed density needs even k, got {k}")
-    srt, sign = _sort_parity(pts)
-    d = srt[None, :] - srt[:, None]
+    pts = point_array(points, even=True)
+    d = pts[None, :] - pts[:, None]
     a = (-d) * np.exp(-d * d)  # a[i, j] = (x_i - x_j) exp(-(x_i-x_j)^2)
-    return sign * moment_constant(k) * float(pfaffian(a))
+    return moment_constant(len(pts)) * float(pfaffian(a))
 
 
 def spin_correlation(points) -> float:
@@ -140,11 +115,7 @@ def spin_correlation(points) -> float:
     leaving plain Pf[erfc(x_j - x_i)].  Ties are allowed: a coincident pair
     contributes erfc(0) = 1 exactly.
     """
-    pts = _points(points, allow_ties=True)
-    k = len(pts)
-    if k % 2:
-        raise UsageError(f"spin moments need even k, got {k}")
-    srt = np.sort(pts)
+    srt = np.sort(point_array(points, even=True))
     d = srt[None, :] - srt[:, None]  # d[i, j] = x_j - x_i
     a = np.triu(erfc(d), 1)
     a = a - a.T

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Real Schur spectra, robust determinant signs and complex QR, wrapped over
-LAPACK (through numpy/scipy) with the classification and failure semantics
-the estimators rely on.  Everything here is a pure function of its inputs
+Real Schur spectra and robust determinant signs, wrapped over LAPACK
+(through numpy/scipy) with the classification and failure semantics the
+estimators rely on.  Everything here is a pure function of its inputs
 and safe to call concurrently.
 """
 
@@ -14,15 +14,10 @@ import scipy.linalg as sla
 
 # Pivot below SIGN_DET_TOL * max|entry| is treated as an exact singularity.
 SIGN_DET_TOL = 1e-13
-QR_RANK_TOL = 1e-12
 
 
 class SchurConvergenceError(RuntimeError):
     """The QR iteration failed to converge to a real Schur form."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """Input matrix is numerically rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -117,20 +112,3 @@ def sign_det(m, tol: float = SIGN_DET_TOL) -> int:
     neg = int(np.count_nonzero(pivots < 0))
     return sign * (-1 if neg % 2 else 1)
 
-
-def complex_qr(m):
-    """QR factorization of a complex square matrix.
-
-    Returns (q, r) with q unitary and r upper triangular; raises
-    :class:`RankDeficiencyError` when a diagonal entry of r collapses.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    q, r = np.linalg.qr(m)
-    d = np.abs(np.diag(r))
-    if d.size and np.min(d) < QR_RANK_TOL * max(np.max(d), 1e-300):
-        raise RankDeficiencyError("rank-deficient input to complex_qr")
-    return q, r

@@ -44,13 +44,19 @@ class Matching:
 
 
 def canonical_matching(pairs) -> Matching:
-    """Build a Matching from arbitrary pair order, canonicalizing it."""
+    """Build a Matching from arbitrary pair order, canonicalizing it.
+
+    A test oracle for hand-written matchings; the package itself does not call it.
+    """
     norm = sorted(tuple(sorted(p)) for p in pairs)
     return Matching(tuple(norm))
 
 
 def identity_matching(two_k: int) -> Matching:
-    """(1,2)(3,4)...(2K-1,2K)."""
+    """(1,2)(3,4)...(2K-1,2K).
+
+    A test oracle for the maximizing matching; the package itself does not call it.
+    """
     return Matching(tuple((i, i + 1) for i in range(1, two_k, 2)))
 
 

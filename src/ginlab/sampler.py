@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gamma
 
 from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
-from .errors import UsageError
+from .errors import UsageError, point_array
 from .linalg import Spectrum, real_schur, sign_det
 
 ENTRY_VARIANCE = 0.5
@@ -206,15 +206,6 @@ def spin(sample: GinOESample, x: float, check: bool = True) -> int:
     return val
 
 
-def _validate_config(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(pts)):
-        raise UsageError("positions must be finite")
-    if len(pts) % 2:
-        raise UsageError(f"spin products need an even number of positions, got {len(pts)}")
-    return BULK_DILATION * pts
-
-
 def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
     """Estimates of E[prod_k spin(x_k)] for several configs from one sample set.
 
@@ -223,7 +214,7 @@ def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
     comparisons across configs).  A config's per-draw value is the product
     of its columns of the spin table.
     """
-    cfgs = [_validate_config(c) for c in configs]
+    cfgs = [BULK_DILATION * point_array(c, even=True) for c in configs]
     points = np.unique(np.concatenate([np.empty(0), *cfgs]))
     spins = _spin_table(n, points, samples, seed, MIN_MOMENT_SAMPLES)
     return [_estimate(spins[:, np.searchsorted(points, c)].prod(axis=1), seed) for c in cfgs]
@@ -236,6 +227,8 @@ def estimate_spin_moment(n: int, points, samples: int, seed: int) -> Estimate:
 
 def _as_intervals(bins) -> np.ndarray:
     b = np.asarray(bins, dtype=float)
+    if np.isnan(b).any():
+        raise UsageError("bin edges must not be NaN")
     if b.ndim == 1:
         if len(b) < 2 or np.any(np.diff(b) <= 0):
             raise UsageError("edges must be strictly increasing")
@@ -319,7 +312,7 @@ def estimate_charpoly_moment(
     magnitude beyond the double range raises OverflowError and suggests
     ``log_domain``, which estimates the mean log magnitude instead.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1)
+    pts = point_array(points)
     vals = []
     for sign, logabs in _shifted_slogdets(n, pts, samples, seed):
         logmag = np.zeros(len(sign))
@@ -387,8 +380,8 @@ def duality_check(
     is reported, not asserted.  Raises if the LHS is too noisy to be
     informative, with a suggested sample count.
     """
-    pts = np.sort(np.asarray(points, dtype=float).reshape(-1))
-    if len(pts) != 2 or pts[1] - pts[0] < 2 * halfwidth:
+    pts = np.sort(point_array(points))
+    if len(pts) != 2 or not pts[1] - pts[0] >= 2 * halfwidth:
         raise UsageError("need two points separated by at least the bin width")
     if n <= 2:
         raise UsageError("matrix size must exceed the number of points")

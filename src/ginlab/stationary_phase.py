@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, point_array, positive_time
 from .group_integrals import vandermonde
 from .pfaffian import Matching, enumerate_matchings, inversions, matching_sign, pfaffian
 
@@ -30,12 +30,10 @@ PHASE_CONVENTION = -1j
 
 
 def _ordered_points(points, two_k=None) -> np.ndarray:
-    x = np.asarray(points, dtype=float).reshape(-1)
-    if len(x) < 2 or len(x) % 2:
-        raise UsageError(f"need an even number of points, got {len(x)}")
-    if two_k is not None and len(x) != two_k:
-        raise UsageError(f"matching of size {two_k} against {len(x)} points")
-    if np.any(np.diff(x) <= 0):
+    x = point_array(points, even=True)
+    if two_k is not None and x.size != two_k:
+        raise UsageError(f"matching of size {two_k} against {x.size} points")
+    if not (x[1:] > x[:-1]).all():
         raise UsageError("points must be strictly increasing")
     return x
 
@@ -192,8 +190,7 @@ def matchings_phase_sum(points, t: float) -> complex:
     x = _ordered_points(points)
     if len(x) > 10:
         raise UsageError("phase sum capped at 10 points")
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     kk = len(x) // 2
     inv_it = PHASE_CONVENTION / t
     total = 0.0 + 0.0j
@@ -211,8 +208,7 @@ def matchings_phase_sum(points, t: float) -> complex:
 def phase_pfaffian_ratio(points, t: float) -> complex:
     """Pf[((x_j - x_i)/sqrt(t)) exp(-(x_i - x_j)^2/(it))] / V(x/sqrt(t))."""
     x = _ordered_points(points)
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     inv_it = PHASE_CONVENTION / t
     d = x[None, :] - x[:, None]
     a = (d / np.sqrt(t)) * np.exp(-d * d * inv_it)
@@ -224,10 +220,10 @@ def laplace_leading(points, t: float) -> float:
 
         prod_k (x_{2k} - x_{2k-1}) / V(x) * exp(-sum_k (x_{2k} - x_{2k-1})^2 / t)
 
-    (the two displayed exponents combine by completing the square).
+    (the two displayed exponents combine by completing the square).  A test
+    oracle for the small-t limit; the package itself does not call it.
     """
     x = _ordered_points(points)
-    if t <= 0:
-        raise UsageError("t must be positive")
+    t = positive_time(t)
     gaps = x[1::2] - x[0::2]
     return float(np.prod(gaps) / vandermonde(x) * np.exp(-np.sum(gaps * gaps) / t))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ginlab.cli import _parse_bins, main
+from ginlab.cli import _max_check, _parse_bins, main
 
 
 def run_cli(args):
@@ -138,6 +138,11 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
+    # the exact shape underflows to 0 at t = 0.5: a division by zero is a
+    # numerical failure, not a traceback
+    argv = ["matrix-integral", "--k", "2", "--points=-30,40", "--t-grid", "2000,0.5"]
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):
@@ -157,6 +162,14 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["kernel-table", "--points", "nan"],
         ["stationary-phase", "--points", "0.3,0.9,1.6"],
         ["heat-check", "--t-grid", "0.1"],
+        # non-finite points and times
+        ["lemma1", "--points", "nan,0.5"],
+        ["mc-density", "--bins=nan,0,0.5,1"],
+        ["stationary-phase", "--points", "0.3,nan"],
+        ["stationary-phase", "--t-grid", "1.0,nan"],
+        ["matrix-integral", "--k", "2", "--t-grid", "0.5,nan"],
+        ["heat-check", "--points", "nan,0.5"],
+        ["heat-check", "--t-grid", "0.1,nan,0.025"],
     ):
         assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
         assert "usage error" in capsys.readouterr().err
@@ -177,6 +190,16 @@ def test_bins_parsing():
     assert np.allclose(_parse_bins("-1,0,2"), [-1.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         _parse_bins("0:1:0")
+
+
+def test_max_check_fails_on_nan():
+    # Python's max(0.5, nan) is 0.5; a NaN measurement must fail the check
+    check = _max_check("c", [0.5, float("nan"), 0.25], 1.0)
+    assert np.isnan(check.measured) and not check.passed
+    check = _max_check("c", [0.5, 0.25], 1.0)
+    assert check.measured == 0.5 and check.passed
+    # no measurements (lemma1 with one configuration has no pair to compare)
+    assert _max_check("c", [], 3.0) == _max_check("c", [0.0], 3.0)
 
 
 def test_default_out_path(tmp_path, monkeypatch):

@@ -10,8 +10,6 @@ from ginlab.group_integrals import (
     exact_shape,
     fit_shape_constant,
     haar_unitaries,
-    haar_unitary,
-    integral_mc,
     integral_mc_grid,
     integral_quadrature_k2,
     integrand_pair,
@@ -55,7 +53,7 @@ def test_haar_left_invariance_of_means():
     k = 4
     x = (-0.9, -0.3, 0.3, 0.9)
     u = haar_unitaries(k, 2000, stream(4, 0))
-    v = haar_unitary(k, stream(5, 0))
+    v = haar_unitaries(k, 1, stream(5, 0))[0]
     a = np.array([integrand_pair(ui, x)[0] for ui in u])
     b = np.array([integrand_pair(v @ ui, x)[0] for ui in u])
     diff_se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(len(a))
@@ -63,7 +61,7 @@ def test_haar_left_invariance_of_means():
 
 
 def test_integrand_invariant_under_diagonal_right_action():
-    u = haar_unitary(4, stream(6, 0))
+    u = haar_unitaries(4, 1, stream(6, 0))[0]
     x = (-0.9, -0.3, 0.3, 0.9)
     rng = stream(7, 0)
     d = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=4)))
@@ -75,7 +73,7 @@ def test_integrand_invariant_under_diagonal_right_action():
 def test_to_skew_unitary():
     j = canonical_symplectic(4)
     assert np.array_equal(to_skew_unitary(np.eye(4, dtype=complex)), j)
-    u = haar_unitary(4, stream(8, 0))
+    u = haar_unitaries(4, 1, stream(8, 0))[0]
     w = to_skew_unitary(u)
     assert np.max(np.abs(w + w.T)) < 1e-12
     assert np.max(np.abs(w @ w.conj().T - np.eye(4))) < 1e-12
@@ -85,7 +83,7 @@ def test_to_skew_unitary():
 
 
 def test_symplectic_dual_identities():
-    u = haar_unitary(4, stream(9, 0))
+    u = haar_unitaries(4, 1, stream(9, 0))[0]
     h = u @ np.diag([0.3, 0.9, 1.6, 2.4]).astype(complex) @ u.conj().T
     hr = symplectic_dual(h)
     assert np.max(np.abs(hr - hr.conj().T)) < 1e-12  # dual of Hermitian is Hermitian
@@ -94,18 +92,18 @@ def test_symplectic_dual_identities():
 
 
 def test_integral_mc_trivial_cases():
-    est = integral_mc((0.0, 0.0), 1.0, 500, seed=10)
+    est = integral_mc_grid([(0.0, 0.0)], [1.0], 500, seed=10)[0][0]
     assert est.mean == 1.0 and est.stderr == 0.0
     # two-point integrands are constant over the group: 1 - I <= (dx)^2 / t
-    est = integral_mc((-0.5, 0.7), 1000.0, 2000, seed=11)
+    est = integral_mc_grid([(-0.5, 0.7)], [1000.0], 2000, seed=11)[0][0]
     assert 0.0 < 1.0 - est.mean < (0.7 + 0.5) ** 2 / 1000.0
-    est4 = integral_mc((-0.6, -0.2, 0.2, 0.6), 1000.0, 2000, seed=11)
+    est4 = integral_mc_grid([(-0.6, -0.2, 0.2, 0.6)], [1000.0], 2000, seed=11)[0][0]
     assert abs(est4.mean - 1.0) < 3 * est4.stderr + 5e-3
 
 
 def test_integral_mc_matches_quadrature_k2():
     x, t = (-0.5, 0.7), 1.0
-    est = integral_mc(x, t, 4000, seed=12)
+    est = integral_mc_grid([x], [t], 4000, seed=12)[0][0]
     q = integral_quadrature_k2(*x, t)
     # the two-point integrand is constant over the group, so the MC is exact
     assert est.stderr < 1e-12
@@ -136,11 +134,11 @@ def test_exact_shape_properties():
 
 
 def test_integrand_pair_forms():
-    u = haar_unitary(4, stream(13, 0))
+    u = haar_unitaries(4, 1, stream(13, 0))[0]
     a, b = integrand_pair(u, (0.0, 0.0, 0.0, 0.0))
     assert a == 1.0 and b == 1.0
     # the two forms agree as integrals (k = 2: both are exactly constant)
-    u2 = haar_unitary(2, stream(13, 1))
+    u2 = haar_unitaries(2, 1, stream(13, 1))[0]
     a2, b2 = integrand_pair(u2, (-0.5, 0.7), t=1.0)
     assert abs(a2 - b2) < 1e-12
 
@@ -161,6 +159,16 @@ def test_shape_constant_k2_grid():
     rows, spread = fit_shape_constant(values, configs, ts)
     assert spread < 1e-6
     assert rows[0].fitted_constant == pytest.approx(1.0, abs=1e-9)
+
+
+def test_shape_constant_spread_propagates_nan():
+    configs = [(-0.6, 0.6), (-0.4, 0.8)]
+    ts = (0.5, 1.0)
+    values = [[integral_quadrature_k2(*c, t) for t in ts] for c in configs]
+    values[1][0] = float("nan")  # not the reference node, which is [0][0]
+    rows, spread = fit_shape_constant(values, configs, ts)
+    assert np.isnan(rows[2].fitted_constant)
+    assert np.isnan(spread)
 
 
 def test_shape_constant_k4_mc_small_budget():

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from ginlab._rng import stream
 from ginlab.group_integrals import (
-    haar_unitary,
+    haar_unitaries,
     integral_quadrature_k2,
     to_skew_unitary,
     vandermonde,
@@ -16,7 +16,6 @@ from ginlab.heat import (
     flat_heat_residual,
     heat_kernel,
     heat_kernel_d1,
-    heat_residual,
     hermitian_basis,
     hermitian_projector,
     initial_condition_check,
@@ -86,7 +85,7 @@ def test_pair_density_matches_general_form():
 
 def test_heat_residual_small_and_second_order():
     pts = (-0.35, 0.55)
-    assert abs(heat_residual(pts, 1.0, 1e-3)) < 1e-6
+    assert abs(flat_heat_residual(signed_density_t, pts, 1.0, 1e-3)) < 1e-6
     assert residual_order(signed_density_t, pts, 1.0, 1e-3) > 1.9
     pts4 = (-0.8, -0.1, 0.4, 1.1)
     assert residual_order(signed_density_t, pts4, 1.0, 1e-3) > 1.9
@@ -182,7 +181,7 @@ def test_hermitian_basis_orthonormal():
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_skew_unitary_projector(k):
-    w = to_skew_unitary(haar_unitary(k, stream(40 + k, 0)))
+    w = to_skew_unitary(haar_unitaries(k, 1, stream(40 + k, 0))[0])
     p = hermitian_projector(w)
     assert np.max(np.abs(p - p.T)) < 1e-12
     assert np.max(np.abs(p @ p - p)) < 1e-10
@@ -194,7 +193,7 @@ def test_skew_unitary_projector(k):
 
 
 def test_skew_unitary_projector_heat_flow():
-    w = to_skew_unitary(haar_unitary(2, stream(42, 0)))
+    w = to_skew_unitary(haar_unitaries(2, 1, stream(42, 0))[0])
     p = hermitian_projector(w)
 
     def fn(x, t):

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from ginlab.linalg import (
-    RankDeficiencyError,
-    complex_qr,
-    real_schur,
-    sign_det,
-)
+from ginlab.linalg import real_schur, sign_det
 
 
 def test_real_schur_diagonal():
@@ -89,22 +84,6 @@ def test_sign_det_degenerate_is_zero():
     assert sign_det(np.outer(v, v)) == 0
 
 
-def test_complex_qr_identity():
-    q, r = complex_qr(np.eye(3, dtype=complex))
-    assert np.allclose(q, np.eye(3), atol=1e-15)
-    assert np.allclose(r, np.eye(3), atol=1e-15)
-
-
-def test_complex_qr_residuals():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, r = complex_qr(m)
-        assert np.max(np.abs(q.conj().T @ q - np.eye(4))) < 1e-12
-        assert np.max(np.abs(q @ r - m)) < 1e-10 * np.max(np.abs(m))
-        assert np.max(np.abs(np.tril(r, -1))) < 1e-14
-
-
 def test_complex_qr_unitarity_sweep():
     rng = np.random.default_rng(19)
     trials_per_size = 2000
@@ -115,10 +94,3 @@ def test_complex_qr_unitarity_sweep():
         q, _ = np.linalg.qr(a)
         defect = np.max(np.abs(np.einsum("mij,mik->mjk", q.conj(), q) - np.eye(n)))
         assert defect < 1e-12
-
-
-def test_complex_qr_rank_deficiency():
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 1.0
-    with pytest.raises(RankDeficiencyError):
-        complex_qr(m)
