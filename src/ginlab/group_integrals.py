@@ -94,12 +94,68 @@ def integrand_pair(u: np.ndarray, points, t: float = 1.0):
     return a, b
 
 
+def _dual_gap_norms(re, im, x, scratch, out) -> None:
+    """sum |H - H^R|^2 per draw, H = U Diag(x) U^dagger, into ``out``.
+
+    ``re[j, i]`` and ``im[j, i]`` are the real and imaginary parts of
+    U[:, i, j], draws last.  ``scratch`` holds float (2, k, k, width) and
+    (2, k, width) arrays, a complex (width, k, k) one and a float
+    (width, k, k) one, for any width of at least ``len(out)`` draws.
+    """
+    m, k = len(out), len(x)
+    (hr, hi), (xr, xi) = scratch[0][..., :m], scratch[1][..., :m]
+    d, mag = scratch[2][:m], scratch[3][:m]
+    # d is free until the dual step, so the products are formed in its memory
+    ta, tb = d.view(float).reshape(2, k, k, m)
+    hr.fill(0.0)
+    hi.fill(0.0)
+    for j in range(k):
+        np.multiply(re[j], x[j], out=xr)  # Re(U_ij) x_j at [i]
+        np.multiply(im[j], x[j], out=xi)
+        # Re and Im of (U_ij x_j) conj(U_lj) at [i, l], rounded as the einsum rounds
+        np.multiply(xr[:, None], re[j], out=ta)
+        np.multiply(xi[:, None], im[j], out=tb)
+        ta += tb
+        hr += ta
+        np.multiply(xi[:, None], re[j], out=ta)
+        np.multiply(xr[:, None], im[j], out=tb)
+        ta -= tb
+        hi += ta
+    # H^R[a, b] = s_a s_b H[b^1, a^1] with s = (+1, -1, +1, ...): J permutes
+    # and flips signs.  With a = 2A + alpha, a^1 reverses alpha.  mag is free
+    # until the norms, so the dual is formed in its memory.
+    k2 = k // 2
+    s = np.array([1.0, -1.0])
+    sign = s[:, None, None, None] * s[:, None]  # s_alpha s_beta at [alpha, :, beta, :]
+    dual = mag.reshape(k2, 2, k2, 2, m)
+    gap = d.reshape(m, k2, 2, k2, 2).transpose(1, 2, 3, 4, 0)  # H - H^R, draws last
+    for part, plane in ((gap.real, hr), (gap.imag, hi)):
+        h5 = plane.reshape(k2, 2, k2, 2, m)
+        np.multiply(h5[:, ::-1, :, ::-1].transpose(2, 3, 0, 1, 4), sign, out=dual)
+        np.subtract(h5, dual, out=part)
+    np.abs(d, out=mag)
+    np.sum(np.square(mag, out=mag), axis=(1, 2), out=out)
+
+
 def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLOCK):
     """I_t estimates on a (config, t) grid sharing one set of Haar draws.
 
     Sharing draws makes the fitted-constant comparison across the grid a
     paired comparison, and costs one QR sweep instead of one per grid node.
     Returns a list of lists of Estimates, indexed [config][t].
+
+    Each block of unitaries is copied once into real and imaginary planes
+    with the draw index last, so every product is one whole-array pass.
+    The planes give, bit for bit, the traces of the reference form: H from
+    the three-operand einsum "mij,jk,mlk->mil" of U, Diag(x) and conj(U),
+    then H^R from matrix products with J.  To stay exact, each term is the
+    einsum's complex product ((U_ij x_j) conj(U_lj)) written out in real
+    parts (numpy's vectorized complex multiply rounds differently), the
+    terms are added from 0 in the einsum's order j = 0, ..., k-1, and J,
+    a signed permutation, becomes a relabelling with sign flips.  |H - H^R|
+    is taken on a complex array, as the reference does: complex abs is not
+    bitwise a hypot of the parts.  tests/test_group_integrals.py keeps the
+    reference and compares the two.
     """
     configs = [point_array(c, even=True) for c in configs]
     if len({len(c) for c in configs}) != 1:
@@ -108,16 +164,25 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     ts = [positive_time(t) for t in ts]
     _check_samples(samples)
     tr_vals = np.empty((len(configs), samples))
+    width = min(block, samples)
+    planes = np.empty((2, k, k, width))
+    scratch = (
+        np.empty((2, k, k, width)),
+        np.empty((2, k, width)),
+        np.empty((width, k, k), dtype=complex),
+        np.empty((width, k, k)),
+    )
     done = 0
     b = 0
     while done < samples:
         take = min(block, samples - done)
         u = haar_unitaries(k, take, stream(seed, b))
+        re, im = planes[..., :take]
+        np.copyto(re, u.real.transpose(2, 1, 0))
+        np.copyto(im, u.imag.transpose(2, 1, 0))
+        del u  # not held through the next block's QR
         for ci, x in enumerate(configs):
-            xd = np.diag(x).astype(complex)
-            h = np.einsum("mij,jk,mlk->mil", u, xd, u.conj())
-            d = h - symplectic_dual(h)
-            tr_vals[ci, done:done + take] = np.sum(np.abs(d) ** 2, axis=(1, 2))
+            _dual_gap_norms(re, im, x, scratch, tr_vals[ci, done:done + take])
         done += take
         b += 1
     return [[_estimate(np.exp(-tr / (2.0 * t)), seed) for t in ts] for tr in tr_vals]
@@ -185,7 +250,8 @@ def fit_shape_constant(values, configs, ts) -> tuple:
     ``values`` is whatever estimator produced I_t on the (config, t) grid:
     Estimates or plain floats, indexed [config][t].  Returns (rows, spread)
     where spread is max |fitted/reference - 1| over the grid (NaN if any
-    node is NaN).
+    node is NaN).  A node whose ``exact_shape`` underflows to 0 raises
+    ArithmeticError naming the node.
     """
     rows = []
     ref = None
@@ -194,6 +260,11 @@ def fit_shape_constant(values, configs, ts) -> tuple:
             v = values[ci][ti]
             mean, se = (v.mean, v.stderr) if isinstance(v, Estimate) else (float(v), 0.0)
             shape = exact_shape(cfg, t)
+            if shape == 0.0:
+                pts = tuple(float(p) for p in np.asarray(cfg, dtype=float))
+                raise ArithmeticError(
+                    f"exact_shape underflowed to 0 at points {pts}, t = {float(t)!r}"
+                )
             c = mean / shape
             if ref is None:
                 ref = c

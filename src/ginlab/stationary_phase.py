@@ -30,6 +30,10 @@ PHASE_CONVENTION = -1j
 
 
 def _ordered_points(points, two_k=None) -> np.ndarray:
+    """The points, checked: even in number, strictly increasing, ``two_k`` of them if given.
+
+    Each public function checks once and passes the array to the private helpers.
+    """
     x = point_array(points, even=True)
     if two_k is not None and x.size != two_k:
         raise UsageError(f"matching of size {two_k} against {x.size} points")
@@ -38,10 +42,13 @@ def _ordered_points(points, two_k=None) -> np.ndarray:
     return x
 
 
+def _critical_value(m: Matching, x: np.ndarray) -> float:
+    return float(2.0 * sum(x[i - 1] * x[j - 1] for i, j in m.pairs))
+
+
 def critical_value(m: Matching, points) -> float:
     """Phase restricted to the matching's torus: 2 * sum_k x_{i_k} x_{j_k}."""
-    x = _ordered_points(points, m.two_k)
-    return float(2.0 * sum(x[i - 1] * x[j - 1] for i, j in m.pairs))
+    return _critical_value(m, _ordered_points(points, m.two_k))
 
 
 def _argmax_with_tie_check(values):
@@ -63,13 +70,11 @@ def find_max_matching(points) -> Matching:
     if len(x) > 12:
         raise UsageError("exhaustive search capped at 12 points")
     ms = enumerate_matchings(len(x))
-    vals = [critical_value(m, x) for m in ms]
+    vals = [_critical_value(m, x) for m in ms]
     return ms[_argmax_with_tie_check(vals)]
 
 
-def hessian_spectrum(m: Matching, points) -> list:
-    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries."""
-    x = _ordered_points(points, m.two_k)
+def _hessian_spectrum(m: Matching, x: np.ndarray) -> list:
     out = []
     pairs = m.pairs
     for k in range(len(pairs)):
@@ -81,18 +86,35 @@ def hessian_spectrum(m: Matching, points) -> list:
     return out
 
 
+def hessian_spectrum(m: Matching, points) -> list:
+    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries."""
+    return _hessian_spectrum(m, _ordered_points(points, m.two_k))
+
+
+def _nonzero_spectrum(m: Matching, spectrum: list) -> list:
+    if any(val == 0.0 for val, _mult in spectrum):
+        raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {m}")
+    return spectrum
+
+
+def _signature(m: Matching, spectrum: list) -> int:
+    return sum(mult if val > 0 else -mult for val, mult in _nonzero_spectrum(m, spectrum))
+
+
+def _sqrt_abs_det(m: Matching, spectrum: list) -> float:
+    out = 1.0
+    for val, _mult in _nonzero_spectrum(m, spectrum):
+        out *= abs(val)
+    return float(out)
+
+
 def signature(m: Matching, points) -> int:
     """(#positive - #negative) Hessian eigenvalues, counted with multiplicity.
 
     Equals 4 * inversions(m) - 2K(K-1); a zero eigenvalue (degenerate
     configuration) raises.
     """
-    sig = 0
-    for val, mult in hessian_spectrum(m, points):
-        if val == 0.0:
-            raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {m}")
-        sig += mult if val > 0 else -mult
-    return sig
+    return _signature(m, hessian_spectrum(m, points))
 
 
 def sqrt_abs_hessian_det(m: Matching, points) -> float:
@@ -100,12 +122,7 @@ def sqrt_abs_hessian_det(m: Matching, points) -> float:
 
     Each (value, multiplicity 2) entry contributes |value| once.
     """
-    out = 1.0
-    for val, _mult in hessian_spectrum(m, points):
-        if val == 0.0:
-            raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {m}")
-        out *= abs(val)
-    return float(out)
+    return _sqrt_abs_det(m, hessian_spectrum(m, points))
 
 
 def vandermonde_ratio_report(m: Matching, points) -> dict:
@@ -131,7 +148,7 @@ def vandermonde_ratio_report(m: Matching, points) -> dict:
             )
     gaps = np.prod([x[j - 1] - x[i - 1] for i, j in pairs])
     ratio = vandermonde(x) / gaps
-    sqrt_det = sqrt_abs_hessian_det(m, x)
+    sqrt_det = _sqrt_abs_det(m, _hessian_spectrum(m, x))
     kk = len(pairs)
     return {
         "cross_product": float(cross),
@@ -165,12 +182,13 @@ def critical_data(points) -> list:
     x = _ordered_points(points)
     out = []
     for m in enumerate_matchings(len(x)):
+        spectrum = _hessian_spectrum(m, x)
         out.append(
             CriticalDatum(
                 matching=m,
-                critical_value=critical_value(m, x),
-                hessian_eigenvalues=tuple(hessian_spectrum(m, x)),
-                signature=signature(m, x),
+                critical_value=_critical_value(m, x),
+                hessian_eigenvalues=tuple(spectrum),
+                signature=_signature(m, spectrum),
                 inversions=inversions(m),
             )
         )

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from ginlab import stationary_phase
 from ginlab.cli import _max_check, _parse_bins, main
+from ginlab.pfaffian import enumerate_matchings
 
 
 def run_cli(args):
@@ -88,6 +90,22 @@ def test_stationary_phase_campaign(tmp_path):
     assert sigs == [-4, 0, 4]
 
 
+def test_stationary_phase_checks_points_once_per_public_call(tmp_path, monkeypatch):
+    calls = []
+    check = stationary_phase._ordered_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(stationary_phase, "_ordered_points", counted)
+    points = "0.3,0.9,1.6,2.4,3.1,3.7,4.2,4.8,5.5,6.1"
+    assert run_cli(["stationary-phase", "--points", points, "--out", str(tmp_path / "sp.csv")]) == 0
+    # one vandermonde_ratio_report per matching, then critical_data,
+    # matchings_phase_sum and phase_pfaffian_ratio at the one t, find_max_matching
+    assert len(calls) == len(enumerate_matchings(10)) + 4
+
+
 def test_matrix_integral_k2(tmp_path, capsys):
     out = tmp_path / "mi.csv"
     assert run_cli(["matrix-integral", "--k", "2", "--out", str(out)]) == 0
@@ -138,11 +156,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
-    # the exact shape underflows to 0 at t = 0.5: a division by zero is a
-    # numerical failure, not a traceback
+    # the exact shape underflows to 0 at t = 0.5: a numerical failure that
+    # names the node, not a traceback or a bare division by zero
     argv = ["matrix-integral", "--k", "2", "--points=-30,40", "--t-grid", "2000,0.5"]
     assert run_cli([*argv, "--out", str(out)]) == 1
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: exact_shape underflowed to 0" in err
+    assert "points (-30.0, 40.0), t = 0.5" in err
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

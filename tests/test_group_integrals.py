@@ -18,6 +18,7 @@ from ginlab.group_integrals import (
     vandermonde,
 )
 from ginlab.errors import UsageError
+from ginlab.sampler import _estimate
 from ginlab.pfaffian import canonical_symplectic, pfaffian
 
 
@@ -184,9 +185,45 @@ def test_integral_mc_grid_reproducible():
     a = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16)
     b = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16)
     assert a[0][0] == b[0][0]
-    # block-keyed streams: the same estimate for any block partition
+    # another block size re-keys the streams (one per block), so the draws
+    # differ and the estimates agree only statistically
     c = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16, block=1000)
     assert np.isclose(c[0][0].mean, a[0][0].mean, rtol=0, atol=5e-3)
+
+
+def _einsum_grid(configs, ts, samples, seed, block):
+    """integral_mc_grid's estimates from the einsum and symplectic_dual trace it replaced."""
+    k = len(configs[0])
+    tr = np.empty((len(configs), samples))
+    done = b = 0
+    while done < samples:
+        take = min(block, samples - done)
+        u = haar_unitaries(k, take, stream(seed, b))
+        for ci, x in enumerate(configs):
+            xd = np.diag(x).astype(complex)
+            h = np.einsum("mij,jk,mlk->mil", u, xd, u.conj())
+            d = h - symplectic_dual(h)
+            tr[ci, done:done + take] = np.sum(np.abs(d) ** 2, axis=(1, 2))
+        done += take
+        b += 1
+    return [[_estimate(np.exp(-row / (2.0 * t)), seed) for t in ts] for row in tr]
+
+
+@pytest.mark.parametrize("seed", [0, 2**63])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_integral_mc_grid_matches_einsum_trace_bitwise(k, seed):
+    rng = np.random.default_rng(k)
+    configs = [
+        np.sort(rng.uniform(-40.0, 40.0, k)),
+        np.linspace(-40.0, 40.0, k),
+        np.sort(rng.uniform(-1.0, 1.0, k)),
+    ]
+    ts = (0.7, 60.0, 3000.0)
+    # 777 does not divide 2000: the last block is short
+    got = integral_mc_grid(configs, ts, 2000, seed, block=777)
+    want = _einsum_grid(configs, ts, 2000, seed, 777)
+    hexes = [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in got]
+    assert hexes == [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in want]
 
 
 def test_charpoly_quadrature_small_n_closed_forms():
