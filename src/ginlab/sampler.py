@@ -25,9 +25,9 @@ signed weight of the eigenvalues in a bin [lo, hi) telescopes to
 (spin(lo) - spin(hi)) / 2.  The Monte Carlo characteristic-polynomial
 moment reads the same stack of shifted determinants, sign and log
 magnitude.  The real-eigenvalue count, :func:`sample_ginoe` and
-``spin(sample, x, check=True)`` still classify the spectrum structurally
-through the real Schur form; there, at an eigenvalue, the strictly-below
-count (left limit) is used.
+``spin(sample, x, check=True)`` read the eigenvalues of
+:func:`.linalg.real_schur`, split by LAPACK's real Schur blocks; there,
+at an eigenvalue, the strictly-below count (left limit) is used.
 """
 
 from dataclasses import dataclass
@@ -55,11 +55,10 @@ class DegenerateShiftError(RuntimeError):
 
 @dataclass(frozen=True)
 class GinOESample:
-    """One draw: the matrix, its structurally classified spectrum, a stream tag."""
+    """One draw: the matrix and its structurally classified spectrum."""
 
     matrix: np.ndarray
     spectrum: Spectrum
-    seed_tag: str = ""
 
     def __post_init__(self):
         tr = float(np.trace(self.matrix))
@@ -140,12 +139,12 @@ def _estimate(vals: np.ndarray, seed: int) -> Estimate:
     )
 
 
-def sample_ginoe(n: int, rng: np.random.Generator, seed_tag: str = "") -> GinOESample:
+def sample_ginoe(n: int, rng: np.random.Generator) -> GinOESample:
     """Draw an n x n matrix with iid N(0, 1/2) entries and classify its spectrum."""
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     m = _draw(n, rng)
-    return GinOESample(matrix=m, spectrum=real_schur(m), seed_tag=seed_tag)
+    return GinOESample(matrix=m, spectrum=real_schur(m))
 
 
 def _spins(reals: np.ndarray, points) -> np.ndarray:

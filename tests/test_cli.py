@@ -163,6 +163,14 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: exact_shape underflowed to 0" in err
     assert "points (-30.0, 40.0), t = 0.5" in err
+    # exp(2400) overflows and exp(-2500) underflows, so the quadrature's
+    # product is inf * 0: a numerical failure that names the node, not a
+    # NaN table
+    argv = ["matrix-integral", "--k", "2", "--points=3,4", "--t-grid", "0.01,0.5"]
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: integral_quadrature_k2 is not finite" in err
+    assert "points (3.0, 4.0), t = 0.01" in err
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

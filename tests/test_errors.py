@@ -61,6 +61,7 @@ TIME_TAKERS = [
     ("heat.projector_solution", lambda t: heat.projector_solution(np.eye(1), t, [0.2])),
     ("heat.flat_heat_residual", lambda t: _residual((0.1, 0.5), t)),
     ("heat.initial_condition_check", lambda t: heat.initial_condition_check(_decaying, (0.1, 0.05, t))),
+    ("group_integrals.integrand_pair", lambda t: gi.integrand_pair(np.eye(2), (0.1, 0.5), t)),
     ("group_integrals.integral_mc_grid", lambda t: gi.integral_mc_grid([(0.1, 0.5)], [1.0, t], 9, 1)),
     ("group_integrals.integral_quadrature_k2", lambda t: gi.integral_quadrature_k2(0.1, 0.5, t)),
     ("group_integrals.exact_shape", lambda t: gi.exact_shape((0.1, 0.5), t)),
@@ -88,7 +89,7 @@ POINT_CASES = [
 TIME_CASES = [
     pytest.param(fn, t, id=f"{name}-t-{label}")
     for name, fn in TIME_TAKERS
-    for label, t in (("nan", NAN), ("inf", INF))
+    for label, t in (("nan", NAN), ("inf", INF), ("zero", 0.0), ("negative", -1.0))
 ]
 BIN_CASES = [
     pytest.param([NAN, 0.0, 0.5, 1.0], id="nan-edge"),
@@ -118,6 +119,12 @@ def test_bad_points_and_times_are_usage_errors(no_draws, call, bad):
 def test_nan_bin_edges_are_usage_errors(no_draws, bins):
     with pytest.raises(UsageError):
         sampler.estimate_signed_density(6, bins, 2, 50, 3)
+
+
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_quadrature_node_count_is_checked(nodes):
+    with pytest.raises(UsageError):
+        gi.integral_quadrature_k2(0.1, 0.5, 1.0, nodes=nodes)
 
 
 def test_infinite_bin_edges_are_half_lines():

@@ -119,6 +119,47 @@ def test_quadrature_k2_closed_form():
     assert abs(integral_quadrature_k2(0.4, 0.4, 0.7) - 1.0) < 1e-12
 
 
+#: float.hex of integral_quadrature_k2 on the default ``matrix-integral --k 2``
+#: grid: configs (-0.5, 0.7) * s for s in (1, 0.8, 1.2, 0.6, 1.5), by row
+K2_DEFAULT_GRID_HEX = [
+    ("0x1.cbdb2151527f9p-5", "0x1.52883937d0a36p-3", "0x1.e53a61786f312p-3", "0x1.8815129c89621p-2", "0x1.1fd12273a0adbp-1"),
+    ("0x1.44380b8e526d0p-3", "0x1.4396961887b49p-2", "0x1.976e5bb007c7bp-2", "0x1.14f969f68633cp-1", "0x1.6223248f96065p-1"),
+    ("0x1.030227155f65bp-6", "0x1.32ab0ad762550p-4", "0x1.017ff39d43810p-3", "0x1.00ffb7eccf37ap-2", "0x1.bec3bbfea93f4p-2"),
+    ("0x1.6b18ff928d2ebp-2", "0x1.0bd2927938545p-1", "0x1.30e1c6ed2ad33p-1", "0x1.6a642d9bed3cfp-1", "0x1.a01dc16113d27p-1"),
+    ("0x1.92144ad2e5a36p-10", "0x1.1d72bc52e5f10p-6", "0x1.40d4a4144abf2p-5", "0x1.d85f27744063fp-4", "0x1.1830eabd7e2f1p-2"),
+]
+
+
+def test_quadrature_k2_default_grid_is_bit_identical():
+    configs = [tuple(np.asarray((-0.5, 0.7)) * s) for s in (1.0, 0.8, 1.2, 0.6, 1.5)]
+    ts = (0.5, 0.8, 1.0, 1.5, 2.5)
+    got = [[integral_quadrature_k2(*c, t).hex() for t in ts] for c in configs]
+    assert got == [list(row) for row in K2_DEFAULT_GRID_HEX]
+
+
+def quadrature_k2_per_node(x1, x2, t, nodes=512):
+    """The reference: the quadrature with one 2x2 trace per node."""
+    x = np.array([x1, x2])
+    xd = np.diag(x).astype(complex)
+    j = canonical_symplectic(2)
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = np.empty(nodes)
+    for i, th in enumerate(theta):
+        w = np.exp(1j * th) * j
+        vals[i] = np.trace(w.conj().T @ xd @ w @ xd).real
+    return float(np.exp(-np.sum(x * x) / t) * np.mean(np.exp(vals / t)))
+
+
+def test_quadrature_k2_batch_matches_per_node_loop():
+    rng = np.random.default_rng(2929)
+    for nodes in (1, 3, 512):
+        for _ in range(12):
+            x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+            t = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+            want = quadrature_k2_per_node(x1, x2, t, nodes)
+            assert integral_quadrature_k2(x1, x2, t, nodes).hex() == want.hex()
+
+
 def test_exact_shape_properties():
     x = (-0.8, -0.1, 0.5, 1.2)
     assert exact_shape(x, 1.0) > 0

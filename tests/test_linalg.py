@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from ginlab._rng import stream
 from ginlab.linalg import real_schur, sign_det
+from ginlab.sampler import _draw
+
+
+def schur_real_count(m) -> int:
+    """The reference route: the 1x1 diagonal blocks of scipy's real Schur form.
+
+    Each standardized 2x2 block has exactly one nonzero subdiagonal entry.
+    """
+    t, _ = sla.schur(m, output="real")
+    return len(t) - 2 * np.count_nonzero(np.diag(t, -1))
 
 
 def test_real_schur_diagonal():
@@ -43,6 +55,48 @@ def test_real_schur_trace_identity():
             assert abs(spec.eigenvalue_sum() - tr) < 1e-8 * max(1.0, abs(tr))
             assert np.all(spec.complex_pairs[:, 1] > 0)
             assert np.all(np.diff(spec.real_eigenvalues) >= 0)
+
+
+@pytest.mark.parametrize("seed", [0, 41, 2**63])
+def test_real_count_matches_schur_blocks_draw_by_draw(seed):
+    for n in range(1, 13):
+        for i in range(40):
+            m = _draw(n, stream(seed, i))
+            assert len(real_schur(m).real_eigenvalues) == schur_real_count(m), (n, i)
+
+
+def test_real_count_matches_schur_blocks_at_n100():
+    for i in range(50):
+        m = _draw(100, stream(100, i))
+        assert len(real_schur(m).real_eigenvalues) == schur_real_count(m), i
+
+
+def test_real_schur_hand_built_cases():
+    # non-normal, with two real eigenvalues 1 +- sqrt(0.5)
+    spec = real_schur(np.array([[1.0, 5.0], [0.1, 1.0]]))
+    assert np.allclose(spec.real_eigenvalues, [1.0 - np.sqrt(0.5), 1.0 + np.sqrt(0.5)])
+    assert spec.complex_pairs.shape == (0, 2)
+    # a Jordan block: one eigenvalue, three times
+    spec = real_schur(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]))
+    assert np.array_equal(spec.real_eigenvalues, [2.0, 2.0, 2.0])
+    assert len(spec.complex_pairs) == 0
+    # a block-diagonal mix of real eigenvalues and rotation-like blocks
+    m = sla.block_diag(3.0, [[0.0, -2.0], [2.0, 0.0]], -1.0, [[1.0, 4.0], [-1.0, 1.0]])
+    spec = real_schur(m)
+    assert np.allclose(spec.real_eigenvalues, [-1.0, 3.0])
+    pairs = spec.complex_pairs[np.argsort(spec.complex_pairs[:, 0])]
+    assert np.allclose(pairs, [[0.0, 2.0], [1.0, 2.0]])
+
+
+def test_real_schur_badly_scaled_matrices():
+    # the balanced eigenvalue routine resolves what an unbalanced Schur
+    # form reports as a double real 0
+    spec = real_schur(np.array([[0.0, 1.0], [-1e-300, 0.0]]))
+    assert len(spec.real_eigenvalues) == 0
+    assert np.allclose(spec.complex_pairs, [[0.0, 1e-150]], rtol=1e-12, atol=0.0)
+    spec = real_schur(np.array([[0.0, 1.0], [1e-300, 0.0]]))
+    assert np.allclose(spec.real_eigenvalues, [-1e-150, 1e-150], rtol=1e-12, atol=0.0)
+    assert len(spec.complex_pairs) == 0
 
 
 def test_real_schur_rejects_bad_input():
