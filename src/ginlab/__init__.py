@@ -30,6 +30,7 @@ from .sampler import (
     estimate_signed_density,
     estimate_spin_moment,
     estimate_spin_moments,
+    expected_real_count,
     sample_ginoe,
     spin,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "estimate_signed_density",
     "estimate_spin_moment",
     "estimate_spin_moments",
+    "expected_real_count",
     "gauss_tail",
     "inversions",
     "kernel_block",

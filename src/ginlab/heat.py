@@ -181,14 +181,6 @@ class InitialConditionReport:
         return abs(self.extrapolated - self.target)
 
 
-def _pairing(test_fn, t: float, half_range: float, grid: int) -> float:
-    xs = np.linspace(-half_range, half_range, grid)
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    vals = pair_density_t(x1 - x2, t) * test_fn(x1, x2)
-    step = xs[1] - xs[0]
-    return float(np.trapezoid(np.trapezoid(vals, dx=step, axis=1), dx=step))
-
-
 def delta_prime_target(test_fn, half_range: float = 8.0, grid: int = 4001, h: float = 1e-5) -> float:
     """-(C_2/2) * int d/du test_fn(v + u, v)|_{u=0} dv, the limiting pairing."""
     v = np.linspace(-half_range, half_range, grid)
@@ -222,12 +214,21 @@ def initial_condition_check(
     near = abs(float(test_fn(np.array(0.1), np.array(-0.1)))) + 1e-12
     if far > 1e-6 * max(near, 1.0):
         raise ValueError("test function must decay away from the origin")
-    rows = tuple(PairingRow(t=t, pairing=_pairing(test_fn, t, half_range, grid)) for t in ts)
+    xs = np.linspace(-half_range, half_range, grid)
+    step = xs[1] - xs[0]
+    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+    delta, weight = x1 - x2, test_fn(x1, x2)
+    del x1, x2  # free the grid before the time loop: each t needs only delta and weight
+    rows = []
+    for t in ts:
+        vals = pair_density_t(delta, t) * weight
+        pairing = np.trapezoid(np.trapezoid(vals, dx=step, axis=1), dx=step)
+        rows.append(PairingRow(t=t, pairing=float(pairing)))
     p_small, p_next = rows[0].pairing, rows[1].pairing
     ratio = ts[1] / ts[0]
     extrapolated = (ratio * p_small - p_next) / (ratio - 1.0)
     return InitialConditionReport(
-        rows=rows,
+        rows=tuple(rows),
         extrapolated=float(extrapolated),
         target=delta_prime_target(test_fn),
     )

@@ -5,6 +5,22 @@ The production route is skew tridiagonalization with partial pivoting
 combinatorial matchings sum is kept as an independent oracle for small
 dimensions.  Matchings of {1, ..., 2K} are stored in canonical form:
 pairs (i_k, j_k) with i_k < j_k and i_1 < i_2 < ... < i_K.
+
+The matchings come from one table, built per call level by level in numpy:
+the words (i_1, j_1, ..., i_K, j_K) as rows of a small-integer array, in
+the recursive order of :func:`enumerate_matchings`, and each word's
+inversion count.  Pairing the smallest free index with the partner at
+position idx of the remaining indices puts exactly idx larger indices
+after that partner and none after the first index, so the inversion count
+is the sum of the idx choices along the recursion; no word is recounted.
+
+:func:`pfaffian_matchings` multiplies the table's entries column by column,
+left to right from the +-1 sign, and adds the terms in order with
+``np.add.accumulate`` from 0.0, which is the per-matching scalar loop bit
+for bit (``np.sum`` adds pairwise).  Complex products are written out in
+real and imaginary parts, re*er - im*ei and re*ei + im*er, because numpy's
+vectorized complex multiply may use fused SIMD kernels whose rounding
+differs from the scalar product.
 """
 
 from dataclasses import dataclass
@@ -125,39 +141,57 @@ def pfaffian(a, tol: float = SKEW_TOL):
     return val
 
 
+def _matching_table(two_k: int):
+    """(words, inversions) of all (2K-1)!! matchings of {1, ..., two_k}.
+
+    ``words`` is an int8 array of shape ((2K-1)!!, two_k) holding the zero-based
+    indices (i_1 - 1, j_1 - 1, ..., i_K - 1, j_K - 1) of each word, in the order
+    of :func:`enumerate_matchings`; ``inversions`` is int8 (at most K(K-1) = 56).
+    """
+    if two_k % 2:
+        raise ValueError(f"matchings need an even ground set, got {two_k}")
+    if two_k > ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at {ENUMERATION_CAP}, got {two_k}")
+    words = np.empty((1, 0), dtype=np.int8)
+    inv = np.zeros(1, dtype=np.int8)
+    free = np.arange(two_k, dtype=np.int8)[None, :]
+    while free.shape[1]:
+        rest = free[:, 1:]
+        m = rest.shape[1]
+        # row r, choice idx -> new row r * m + idx: partner rest[r, idx], and
+        # rest[r] without column idx left free
+        keep = np.array([[c for c in range(m) if c != idx] for idx in range(m)], dtype=np.intp)
+        pair = np.stack([np.repeat(free[:, 0], m), rest.reshape(-1)], axis=1)
+        words = np.concatenate([np.repeat(words, m, axis=0), pair], axis=1)
+        inv = (inv[:, None] + np.arange(m, dtype=np.int8)).reshape(-1)
+        free = rest[:, keep.reshape(-1)].reshape(len(words), m - 1)
+    return words, inv
+
+
 def enumerate_matchings(two_k: int) -> list:
     """All (2K-1)!! perfect matchings of {1, ..., two_k}, canonical order.
 
     The order is deterministic: the smallest unmatched index is paired with
     each larger index in increasing order, recursively.
     """
-    if two_k % 2:
-        raise ValueError(f"matchings need an even ground set, got {two_k}")
-    if two_k > ENUMERATION_CAP:
-        raise ValueError(f"enumeration capped at {ENUMERATION_CAP}, got {two_k}")
-
-    def rec(items):
-        if not items:
-            yield ()
-            return
-        first = items[0]
-        rest = items[1:]
-        for idx in range(len(rest)):
-            pair = (first, rest[idx])
-            for tail in rec(rest[:idx] + rest[idx + 1:]):
-                yield (pair,) + tail
-
-    return [Matching(p) for p in rec(tuple(range(1, two_k + 1)))]
+    words, _inv = _matching_table(two_k)
+    return [Matching(tuple(zip(w[0::2], w[1::2]))) for w in (words + 1).tolist()]
 
 
 def inversions(m: Matching) -> int:
-    """Number of inversions of the word (i_1, j_1, ..., i_K, j_K)."""
+    """Number of inversions of the word (i_1, j_1, ..., i_K, j_K), counted pair by pair.
+
+    A test oracle for the matching table's counts; the package itself does not call it.
+    """
     w = m.word()
     return sum(1 for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] > w[q])
 
 
 def matching_sign(m: Matching) -> int:
-    """Sign of the matching's permutation word: (-1)**inversions."""
+    """Sign of the matching's permutation word: (-1)**inversions.
+
+    A test oracle; the package itself does not call it.
+    """
     return -1 if inversions(m) % 2 else 1
 
 
@@ -175,10 +209,19 @@ def pfaffian_matchings(a, tol: float = SKEW_TOL, cap: int = MATCHINGS_SUM_CAP):
         raise ValueError(f"matchings sum capped at dimension {cap}, got {n}")
     if n == 0:
         return 1.0
-    total = 0.0 + 0j if np.iscomplexobj(b) else 0.0
-    for m in enumerate_matchings(n):
-        term = matching_sign(m)
-        for i, j in m.pairs:
-            term = term * b[i - 1, j - 1]
-        total += term
-    return total
+    words, inv = _matching_table(n)
+    entries = b[words[:, 0::2], words[:, 1::2]]
+    re = np.where(inv % 2, -1, 1).astype(entries.real.dtype)
+    if not np.iscomplexobj(b):
+        for col in entries.T:
+            re *= col
+        return _sum_in_order(re)
+    im = np.zeros_like(re)
+    for er, ei in zip(entries.real.T, entries.imag.T):
+        re, im = re * er - im * ei, re * ei + im * er
+    return b.dtype.type(complex(_sum_in_order(re), _sum_in_order(im)))
+
+
+def _sum_in_order(terms):
+    """0.0 + t_0 + t_1 + ..., added left to right as a scalar loop would."""
+    return np.add.accumulate(np.concatenate((np.zeros(1, terms.dtype), terms)))[-1]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import beta, gamma, hyp2f1
 
 from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
 from .errors import UsageError, point_array
@@ -333,6 +333,19 @@ def estimate_real_count(n: int, samples: int, seed: int) -> Estimate:
     """Mean number of real eigenvalues of an n x n draw."""
     counts = [len(real_schur(m).real_eigenvalues) for m in _draws(n, samples, seed)]
     return _estimate(np.array(counts, dtype=float), seed)
+
+
+def expected_real_count(n: int) -> float:
+    """Exact mean number of real eigenvalues of an n x n draw, the oracle for
+    :func:`estimate_real_count` (Edelman, Kostlan and Shub, J. AMS 7, 1994):
+
+        E_n = 1/2 + sqrt(2) * 2F1(1, -1/2; n; 1/2) / B(n, 1/2),
+
+    which is 1, sqrt(2) and 1 + 1/sqrt(2) at n = 1, 2, 3 and grows like sqrt(2n/pi).
+    """
+    if n < 1:
+        raise UsageError(f"matrix size must be positive, got {n}")
+    return float(0.5 + np.sqrt(2.0) * hyp2f1(1.0, -0.5, n, 0.5) / beta(n, 0.5))
 
 
 def sphere_area(m: int) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UsageError, point_array, positive_time
 from .group_integrals import vandermonde
-from .pfaffian import Matching, enumerate_matchings, inversions, matching_sign, pfaffian
+from .pfaffian import Matching, _matching_table, enumerate_matchings, pfaffian
 
 #: 1/(i t) is expanded as PHASE_CONVENTION / t with PHASE_CONVENTION = -1j.
 PHASE_CONVENTION = -1j
@@ -180,8 +180,9 @@ class CriticalDatum:
 def critical_data(points) -> list:
     """The per-matching table of critical values, spectra and signatures."""
     x = _ordered_points(points)
+    _words, inv = _matching_table(len(x))
     out = []
-    for m in enumerate_matchings(len(x)):
+    for m, count in zip(enumerate_matchings(len(x)), inv.tolist()):
         spectrum = _hessian_spectrum(m, x)
         out.append(
             CriticalDatum(
@@ -189,7 +190,7 @@ def critical_data(points) -> list:
                 critical_value=_critical_value(m, x),
                 hessian_eigenvalues=tuple(spectrum),
                 signature=_signature(m, spectrum),
-                inversions=inversions(m),
+                inversions=count,
             )
         )
     return out
@@ -212,13 +213,14 @@ def matchings_phase_sum(points, t: float) -> complex:
     kk = len(x) // 2
     inv_it = PHASE_CONVENTION / t
     total = 0.0 + 0.0j
-    for m in enumerate_matchings(len(x)):
+    words, inv = _matching_table(len(x))
+    for w, count in zip(words.tolist(), inv.tolist()):
         amp = 1.0
         phase = 0.0
-        for i, j in m.pairs:
-            amp *= x[j - 1] - x[i - 1]
-            phase += 2.0 * x[i - 1] * x[j - 1]
-        total += matching_sign(m) * amp * np.exp(inv_it * phase)
+        for i, j in zip(w[0::2], w[1::2]):
+            amp *= x[j] - x[i]
+            phase += 2.0 * x[i] * x[j]
+        total += (-1 if count % 2 else 1) * amp * np.exp(inv_it * phase)
     total *= np.exp(-np.sum(x * x) * inv_it)
     return complex(t ** (kk * (kk - 1)) * total / vandermonde(x))
 

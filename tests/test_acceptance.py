@@ -21,7 +21,7 @@ from ginlab.group_integrals import (
 from ginlab.heat import initial_condition_check, residual_order, signed_density_t
 from ginlab.kernel import correlation, gauss_tail, spin_correlation
 from ginlab.pfaffian import enumerate_matchings, identity_matching, inversions, pfaffian, pfaffian_matchings
-from ginlab.sampler import duality_check, estimate_real_count, estimate_spin_moments
+from ginlab.sampler import duality_check, estimate_real_count, estimate_spin_moments, expected_real_count
 from ginlab.stationary_phase import (
     find_max_matching,
     matchings_phase_sum,
@@ -202,10 +202,18 @@ def test_criterion_8_finite_size_trend_only():
     # and the oscillatory integral at small times is certified through the
     # exact matchings/Pfaffian identity of criterion 6, never by direct
     # Monte Carlo.
+    # each count is also z-tested against the exact Edelman-Kostlan-Shub mean
     with Timer() as t:
         small = estimate_real_count(25, 1500, seed=1008)
         large = estimate_real_count(100, 800, seed=1009)
         ratio = large.mean / small.mean
     assert 1.8 < ratio < 2.2
+    zs = [(est.mean - expected_real_count(n)) / est.stderr for n, est in ((25, small), (100, large))]
+    assert all(abs(z) < 3.0 for z in zs), f"z-scores at n = 25, 100: {zs}"
     assert t.elapsed < 600.0
-    report(8, f"count({100})/count({25}) = {ratio:.3f} (sqrt growth ~ 2)", t.elapsed)
+    report(
+        8,
+        f"count({100})/count({25}) = {ratio:.3f} (sqrt growth ~ 2); z-scores "
+        + ", ".join(f"{z:+.2f}" for z in zs),
+        t.elapsed,
+    )

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -115,6 +117,14 @@ def test_signed_density_antisymmetry():
     pts = np.sort(rng.normal(size=4))
     swapped = pts[[0, 2, 1, 3]]
     assert abs(signed_density(swapped) + signed_density(pts)) < 1e-15
+
+
+@given(data=st.data(), k=st.sampled_from([2, 4, 6, 8]))
+def test_signed_density_changes_by_the_permutation_sign(data, k):
+    pts = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    perm = data.draw(st.permutations(range(k)))
+    sign = round(np.linalg.det(np.eye(k)[perm]))
+    assert abs(signed_density(pts[perm]) - sign * signed_density(pts)) < 1e-12
 
 
 def test_signed_density_vanishes_at_large_separation():

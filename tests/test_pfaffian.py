@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ginlab.pfaffian import (
     Matching,
+    _matching_table,
     canonical_matching,
     canonical_symplectic,
     enumerate_matchings,
@@ -153,3 +156,90 @@ def test_pfaffian_dtype_follows_input():
     rng = np.random.default_rng(9)
     assert isinstance(pfaffian(random_skew(rng, 4, complex_entries=False)), float)
     assert isinstance(pfaffian(random_skew(rng, 4, complex_entries=True)), complex)
+
+
+# ---------------------------------------------------------------- reference
+# The recursive enumeration and per-matching scalar loop that the table
+# replaced, kept here as the bit-for-bit reference.
+
+
+def reference_words(two_k):
+    def rec(items):
+        if not items:
+            yield ()
+            return
+        first, rest = items[0], items[1:]
+        for idx in range(len(rest)):
+            for tail in rec(rest[:idx] + rest[idx + 1:]):
+                yield (first, rest[idx]) + tail
+
+    return list(rec(tuple(range(two_k))))
+
+
+def reference_inversions(word):
+    return sum(1 for p in range(len(word)) for q in range(p + 1, len(word)) if word[p] > word[q])
+
+
+def reference_pfaffian_matchings(a):
+    b = require_skew(a)
+    total = 0.0 + 0j if np.iscomplexobj(b) else 0.0
+    for word in reference_words(b.shape[0]):
+        term = -1 if reference_inversions(word) % 2 else 1
+        for i, j in zip(word[0::2], word[1::2]):
+            term = term * b[i, j]
+        total += term
+    return total
+
+
+def _hex(z):
+    z = complex(z)
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("two_k", [0, 2, 4, 6, 8, 10, 12])
+def test_matching_table_is_the_recursive_enumeration(two_k):
+    words, inv = _matching_table(two_k)
+    expected = reference_words(two_k)
+    assert [tuple(w) for w in words.tolist()] == expected
+    assert inv.tolist() == [reference_inversions(w) for w in expected]
+    assert [m.word() for m in enumerate_matchings(two_k)] == [tuple(i + 1 for i in w) for w in expected]
+
+
+def test_matching_table_stays_small():
+    words, inv = _matching_table(16)
+    assert words.shape == (2_027_025, 16)
+    assert words.dtype == np.int8 and inv.dtype == np.int8
+    assert int(inv.max()) == 8 * 7
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_matchings_sum_is_the_scalar_loop_bit_for_bit(n, complex_entries):
+    for seed in range(3):
+        a = random_skew(np.random.default_rng(1000 * n + seed), n, complex_entries)
+        got, expected = pfaffian_matchings(a), reference_pfaffian_matchings(a)
+        assert type(got) is type(expected)
+        assert _hex(got) == _hex(expected), (n, seed)
+
+
+# ---------------------------------------------------------------- properties
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@given(
+    n=st.sampled_from([2, 4, 6, 8, 10, 12]),
+    complex_entries=st.booleans(),
+    data=st.data(),
+)
+def test_pfaffian_square_is_determinant_property(n, complex_entries, data):
+    parts = 2 if complex_entries else 1
+    flat = data.draw(st.lists(_entries, min_size=parts * n * n, max_size=parts * n * n))
+    a = np.array(flat[: n * n]).reshape(n, n)
+    if complex_entries:
+        a = a + 1j * np.array(flat[n * n:]).reshape(n, n)
+    a = a - a.T
+    pf = pfaffian(a)
+    # determinant errors scale with the Hadamard bound prod_i |row_i|
+    scale = np.prod(np.linalg.norm(a, axis=1))
+    assert abs(pf * pf - np.linalg.det(a)) <= 1e-10 * scale

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ginlab.sampler import (
     duality_check,
     estimate_charpoly_moment,
     estimate_real_count,
+    expected_real_count,
     estimate_signed_density,
     estimate_spin_moment,
     estimate_spin_moments,
@@ -250,6 +252,31 @@ def test_real_count_grows_like_sqrt_n():
     # sqrt-growth trend; the O(1) term in the expected count keeps the
     # measured ratio a little under 2 at these sizes
     assert 1.8 < ratio < 2.2
+
+
+def test_expected_real_count_closed_form():
+    # the Edelman-Kostlan-Shub sums: for even n, sqrt(2) * sum_{k < n/2} (4k-1)!!/(4k)!!;
+    # for odd n, 1 + sqrt(2) * sum_{1 <= k <= (n-1)/2} (4k-3)!!/(4k-2)!!
+    def ratio(odd_top):
+        # (odd_top)!! / (odd_top + 1)!!, with (-1)!! = 0!! = 1
+        out = 1.0
+        for m in range(odd_top, 0, -2):
+            out *= m / (m + 1)
+        return out
+
+    def by_sum(n):
+        if n % 2 == 0:
+            return math.sqrt(2.0) * sum(ratio(4 * k - 1) for k in range(n // 2))
+        return 1.0 + math.sqrt(2.0) * sum(ratio(4 * k - 3) for k in range(1, (n - 1) // 2 + 1))
+
+    assert expected_real_count(1) == pytest.approx(1.0, rel=1e-15)
+    assert expected_real_count(2) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert expected_real_count(3) == pytest.approx(1.0 + 1.0 / math.sqrt(2.0), rel=1e-15)
+    for n in (4, 7, 10, 25, 100, 401):
+        assert expected_real_count(n) == pytest.approx(by_sum(n), rel=1e-11), n
+    assert expected_real_count(10_000) / math.sqrt(2.0 * 10_000 / math.pi) == pytest.approx(1.0, abs=0.01)
+    with pytest.raises(UsageError):
+        expected_real_count(0)
 
 
 def test_duality_ratio_is_configuration_independent():

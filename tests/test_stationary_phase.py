@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from ginlab.group_integrals import exact_shape, integral_quadrature_k2, vandermonde
-from ginlab.pfaffian import canonical_matching, enumerate_matchings, identity_matching, inversions
+from ginlab.pfaffian import (
+    canonical_matching,
+    enumerate_matchings,
+    identity_matching,
+    inversions,
+    matching_sign,
+)
 from ginlab.stationary_phase import (
+    PHASE_CONVENTION,
     CriticalDatum,
     _argmax_with_tie_check,
     critical_data,
@@ -150,6 +157,34 @@ def test_phase_sum_equals_pfaffian_ratio(two_k, tol):
         lhs = matchings_phase_sum(x, t)
         rhs = phase_pfaffian_ratio(x, t)
         assert abs(lhs - rhs) <= tol * abs(rhs)
+
+
+def reference_phase_sum(x, t):
+    # the per-Matching loop with the recounted sign, before the matching table
+    kk = len(x) // 2
+    inv_it = PHASE_CONVENTION / t
+    total = 0.0 + 0.0j
+    for m in enumerate_matchings(len(x)):
+        amp = 1.0
+        phase = 0.0
+        for i, j in m.pairs:
+            amp *= x[j - 1] - x[i - 1]
+            phase += 2.0 * x[i - 1] * x[j - 1]
+        total += matching_sign(m) * amp * np.exp(inv_it * phase)
+    total *= np.exp(-np.sum(x * x) * inv_it)
+    return complex(t ** (kk * (kk - 1)) * total / vandermonde(x))
+
+
+@pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+def test_phase_sum_and_critical_data_match_the_matching_loop_bit_for_bit(two_k):
+    rng = np.random.default_rng(40 + two_k)
+    for t in (0.35, 1.3):
+        x = random_ordered(rng, two_k, scale=2.0)
+        got, expected = matchings_phase_sum(x, t), reference_phase_sum(x, t)
+        assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    data = critical_data(x)
+    assert [d.matching for d in data] == enumerate_matchings(two_k)
+    assert [d.inversions for d in data] == [inversions(m) for m in enumerate_matchings(two_k)]
 
 
 def test_phase_sum_scale_covariance():
