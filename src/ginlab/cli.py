@@ -332,23 +332,19 @@ def run_stationary_phase(cfg):
         "sqrt_abs_hessian_det",
         "measured_log2_prefactor",
     )
-    rows = []
-    sig_ok = True
-    kk = len(pts) // 2
-    for datum in stationary_phase.critical_data(pts):
-        rep = stationary_phase.vandermonde_ratio_report(datum.matching, pts)
-        rows.append(
-            (
-                str(datum.matching),
-                datum.critical_value,
-                datum.inversions,
-                datum.signature,
-                rep["sqrt_abs_hessian_det"],
-                rep["measured_log2_prefactor"],
-            )
+    table = stationary_phase.critical_table(pts)
+    rows = list(
+        zip(
+            table.names(),
+            table.critical_values.tolist(),
+            table.inversions.tolist(),
+            table.signatures.tolist(),
+            table.sqrt_abs_hessian_dets.tolist(),
+            table.log2_prefactors.tolist(),
         )
-        if datum.signature != 4 * datum.inversions - 2 * kk * (kk - 1):
-            sig_ok = False
+    )
+    kk = len(pts) // 2
+    sig_ok = bool((table.signatures == 4 * table.inversions - 2 * kk * (kk - 1)).all())
     rel_errs = []
     for t in ts:
         lhs = stationary_phase.matchings_phase_sum(pts, t)

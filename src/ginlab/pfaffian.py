@@ -56,7 +56,12 @@ class Matching:
         return tuple(i for p in self.pairs for i in p)
 
     def __str__(self):
-        return "".join(f"({i},{j})" for i, j in self.pairs)
+        return _word_name(self.word())
+
+
+def _word_name(word) -> str:
+    """(i_1,j_1)(i_2,j_2)..., the printed form of the word (i_1, j_1, i_2, j_2, ...)."""
+    return "".join(f"({i},{j})" for i, j in zip(word[0::2], word[1::2]))
 
 
 def canonical_matching(pairs) -> Matching:

@@ -15,15 +15,32 @@ The signed sum over matchings of the leading oscillatory contributions
 collapses to a ratio of a Pfaffian to a Vandermonde; ``matchings_phase_sum``
 builds both sides independently.  Complex exponents use the principal
 convention 1/(i t) = -i/t throughout (PHASE_CONVENTION below).
+
+All matchings are handled at once, from the matching table of
+:mod:`ginlab.pfaffian`: the columns x[i_k] and x[j_k] of every word are
+two (matchings x K) arrays, and :func:`critical_table`,
+:func:`critical_data`, :func:`find_max_matching` and
+:func:`matchings_phase_sum` compute column by column what the per-matching
+scalar loop computes, bit for bit: sums from 0.0 and products from 1.0 run
+over the pairs in order (not ``np.sum``/``np.prod``, whose order is not the
+loop's), ``2.0 * a * b`` is evaluated left to right, and the phase sum's
+terms are added with ``np.add.accumulate`` as in ``pfaffian_matchings``.
+Its complex products need no writing out: each has one real factor, and a
+product whose imaginary part is zero rounds the same with or without the
+fused multiply-adds of numpy's vectorized complex multiply.
+The per-matching functions :func:`critical_value`, :func:`hessian_spectrum`,
+:func:`signature`, :func:`sqrt_abs_hessian_det` and
+:func:`vandermonde_ratio_report` are that scalar loop, kept as test oracles.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UsageError, point_array, positive_time
 from .group_integrals import vandermonde
-from .pfaffian import Matching, _matching_table, enumerate_matchings, pfaffian
+from .pfaffian import Matching, _matching_table, _sum_in_order, _word_name, enumerate_matchings, pfaffian
 
 #: 1/(i t) is expanded as PHASE_CONVENTION / t with PHASE_CONVENTION = -1j.
 PHASE_CONVENTION = -1j
@@ -42,13 +59,21 @@ def _ordered_points(points, two_k=None) -> np.ndarray:
     return x
 
 
-def _critical_value(m: Matching, x: np.ndarray) -> float:
-    return float(2.0 * sum(x[i - 1] * x[j - 1] for i, j in m.pairs))
+def _phase_sum_points(points) -> np.ndarray:
+    """The checked points, at most 10 of them: the phase sum's (2K-1)!! terms are capped."""
+    x = _ordered_points(points)
+    if len(x) > 10:
+        raise UsageError("phase sum capped at 10 points")
+    return x
 
 
 def critical_value(m: Matching, points) -> float:
-    """Phase restricted to the matching's torus: 2 * sum_k x_{i_k} x_{j_k}."""
-    return _critical_value(m, _ordered_points(points, m.two_k))
+    """Phase restricted to the matching's torus: 2 * sum_k x_{i_k} x_{j_k}.
+
+    A test oracle for the table's critical values; the package itself does not call it.
+    """
+    x = _ordered_points(points, m.two_k)
+    return float(2.0 * sum(x[i - 1] * x[j - 1] for i, j in m.pairs))
 
 
 def _argmax_with_tie_check(values):
@@ -57,6 +82,22 @@ def _argmax_with_tie_check(values):
     if ties:
         raise ValueError(f"tied maxima at indices {best} and {ties[0]}")
     return best
+
+
+def _pair_columns(x: np.ndarray):
+    """(words, inversions, x[i_k], x[j_k]) of every matching, from one matching table.
+
+    The last two are (matchings x K) arrays, one column per pair.
+    """
+    words, inv = _matching_table(len(x))
+    return words, inv, x[words[:, 0::2]], x[words[:, 1::2]]
+
+
+def _critical_values(xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
+    total = np.zeros(len(xi))
+    for a, b in zip(xi.T, xj.T):
+        total += a * b
+    return 2.0 * total
 
 
 def find_max_matching(points) -> Matching:
@@ -69,9 +110,10 @@ def find_max_matching(points) -> Matching:
     x = _ordered_points(points)
     if len(x) > 12:
         raise UsageError("exhaustive search capped at 12 points")
-    ms = enumerate_matchings(len(x))
-    vals = [_critical_value(m, x) for m in ms]
-    return ms[_argmax_with_tie_check(vals)]
+    words, _inv, xi, xj = _pair_columns(x)
+    best = _argmax_with_tie_check(_critical_values(xi, xj).tolist())
+    w = (words[best] + 1).tolist()
+    return Matching(tuple(zip(w[0::2], w[1::2])))
 
 
 def _hessian_spectrum(m: Matching, x: np.ndarray) -> list:
@@ -87,7 +129,10 @@ def _hessian_spectrum(m: Matching, x: np.ndarray) -> list:
 
 
 def hessian_spectrum(m: Matching, points) -> list:
-    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries."""
+    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries.
+
+    A test oracle for the table's spectra; the package itself does not call it.
+    """
     return _hessian_spectrum(m, _ordered_points(points, m.two_k))
 
 
@@ -95,10 +140,6 @@ def _nonzero_spectrum(m: Matching, spectrum: list) -> list:
     if any(val == 0.0 for val, _mult in spectrum):
         raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {m}")
     return spectrum
-
-
-def _signature(m: Matching, spectrum: list) -> int:
-    return sum(mult if val > 0 else -mult for val, mult in _nonzero_spectrum(m, spectrum))
 
 
 def _sqrt_abs_det(m: Matching, spectrum: list) -> float:
@@ -112,15 +153,18 @@ def signature(m: Matching, points) -> int:
     """(#positive - #negative) Hessian eigenvalues, counted with multiplicity.
 
     Equals 4 * inversions(m) - 2K(K-1); a zero eigenvalue (degenerate
-    configuration) raises.
+    configuration) raises.  A test oracle for the table's signatures; the
+    package itself does not call it.
     """
-    return _signature(m, hessian_spectrum(m, points))
+    spectrum = _nonzero_spectrum(m, hessian_spectrum(m, points))
+    return sum(mult if val > 0 else -mult for val, mult in spectrum)
 
 
 def sqrt_abs_hessian_det(m: Matching, points) -> float:
     """Square root of |det| of the normal-space Hessian.
 
-    Each (value, multiplicity 2) entry contributes |value| once.
+    Each (value, multiplicity 2) entry contributes |value| once.  A test
+    oracle for the table's column; the package itself does not call it.
     """
     return _sqrt_abs_det(m, hessian_spectrum(m, points))
 
@@ -132,6 +176,8 @@ def vandermonde_ratio_report(m: Matching, points) -> dict:
     |(x_{i_k}-x_{j_l})(x_{i_l}-x_{j_k})(x_{i_k}-x_{i_l})(x_{j_l}-x_{j_k})|
     equals V(x) / prod_k (x_{j_k} - x_{i_k}) exactly.  The power of two
     relating sqrt|det| to that ratio is measured and reported, not asserted.
+    A test oracle for the table's last two columns; the package itself does
+    not call it.
     """
     x = _ordered_points(points, m.two_k)
     pairs = m.pairs
@@ -159,6 +205,81 @@ def vandermonde_ratio_report(m: Matching, points) -> dict:
     }
 
 
+def _check_counts(kk: int, eigenvalue_count: int, signatures, inversions) -> None:
+    """Raise unless there are K(K-1) eigenvalues and signature = 4 inversions - 2K(K-1)."""
+    if eigenvalue_count != kk * (kk - 1):
+        raise ValueError("unexpected eigenvalue count")
+    if np.any(signatures - 4 * inversions + 2 * kk * (kk - 1)):
+        raise ValueError("signature inconsistent with inversion count")
+
+
+class CriticalTable(NamedTuple):
+    """Every matching's critical data as columns, one row per matching in the
+    order of :func:`~ginlab.pfaffian.enumerate_matchings`: its zero-based word,
+    and what the per-matching oracles return for it (``hessian_eigenvalues``
+    has one column per (value, 2) entry of :func:`hessian_spectrum`, and
+    ``log2_prefactors`` is ``measured_log2_prefactor``)."""
+
+    words: np.ndarray
+    inversions: np.ndarray
+    critical_values: np.ndarray
+    hessian_eigenvalues: np.ndarray
+    signatures: np.ndarray
+    sqrt_abs_hessian_dets: np.ndarray
+    log2_prefactors: np.ndarray
+
+    def names(self) -> list:
+        """Each matching as ``str(Matching)`` prints it: (i_1,j_1)(i_2,j_2)..."""
+        return [_word_name(w) for w in (self.words + 1).tolist()]
+
+
+def _critical_table(x: np.ndarray) -> CriticalTable:
+    words, inv, xi, xj = _pair_columns(x)
+    inv = inv.astype(np.int64)  # 4 * inversions reaches 224, past int8
+    kk = xi.shape[1]
+    k, l = np.triu_indices(kk, 1)
+    # the two eigenvalues of each k < l, interleaved as hessian_spectrum lists them
+    spectra = np.stack(
+        [
+            2.0 * (xi[:, k] - xj[:, l]) * (xi[:, l] - xj[:, k]),
+            2.0 * (xi[:, k] - xi[:, l]) * (xj[:, l] - xj[:, k]),
+        ],
+        axis=2,
+    ).reshape(len(words), -1)
+    zero = np.flatnonzero((spectra == 0.0).any(axis=1))
+    if zero.size:
+        name = _word_name((words[zero[0]] + 1).tolist())
+        raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {name}")
+    signatures = np.where(spectra > 0, 2, -2).sum(axis=1)
+    _check_counts(kk, spectra.shape[1], signatures, inv)
+    sqrt_det = np.ones(len(words))
+    for col in np.abs(spectra).T:
+        sqrt_det *= col
+    gaps = np.ones(len(words))
+    for a, b in zip(xi.T, xj.T):
+        gaps *= b - a
+    ratio = vandermonde(x) / gaps
+    return CriticalTable(
+        words=words,
+        inversions=inv,
+        critical_values=_critical_values(xi, xj),
+        hessian_eigenvalues=spectra,
+        signatures=signatures,
+        sqrt_abs_hessian_dets=sqrt_det,
+        log2_prefactors=np.log2(sqrt_det / ratio),
+    )
+
+
+def critical_table(points) -> CriticalTable:
+    """The ``stationary-phase`` campaign's table, all matchings at once.
+
+    Capped at 10 points, as :func:`matchings_phase_sum` is, so that a
+    configuration the campaign cannot finish is refused before its
+    (2K-1)!! rows are built.
+    """
+    return _critical_table(_phase_sum_points(points))
+
+
 @dataclass(frozen=True)
 class CriticalDatum:
     """Everything the phase sum needs from one critical torus."""
@@ -171,29 +292,29 @@ class CriticalDatum:
 
     def __post_init__(self):
         kk = self.matching.two_k // 2
-        if len(self.hessian_eigenvalues) != kk * (kk - 1):
-            raise ValueError("unexpected eigenvalue count")
-        if (self.signature - 4 * self.inversions + 2 * kk * (kk - 1)) != 0:
-            raise ValueError("signature inconsistent with inversion count")
+        _check_counts(kk, len(self.hessian_eigenvalues), self.signature, self.inversions)
 
 
 def critical_data(points) -> list:
     """The per-matching table of critical values, spectra and signatures."""
     x = _ordered_points(points)
-    _words, inv = _matching_table(len(x))
-    out = []
-    for m, count in zip(enumerate_matchings(len(x)), inv.tolist()):
-        spectrum = _hessian_spectrum(m, x)
-        out.append(
-            CriticalDatum(
-                matching=m,
-                critical_value=_critical_value(m, x),
-                hessian_eigenvalues=tuple(spectrum),
-                signature=_signature(m, spectrum),
-                inversions=count,
-            )
+    table = _critical_table(x)
+    rows = zip(
+        table.critical_values.tolist(),
+        table.hessian_eigenvalues.tolist(),
+        table.signatures.tolist(),
+        table.inversions.tolist(),
+    )
+    return [
+        CriticalDatum(
+            matching=m,
+            critical_value=value,
+            hessian_eigenvalues=tuple((v, 2) for v in spectrum),
+            signature=sig,
+            inversions=count,
         )
-    return out
+        for m, (value, spectrum, sig, count) in zip(enumerate_matchings(len(x)), rows)
+    ]
 
 
 def matchings_phase_sum(points, t: float) -> complex:
@@ -206,21 +327,18 @@ def matchings_phase_sum(points, t: float) -> complex:
     which equals Pf[((x_j - x_i)/sqrt(t)) exp(-(x_i - x_j)^2/(it))] / V(x/sqrt(t))
     identically (the Pfaffian expanded over matchings).  Capped at 10 points.
     """
-    x = _ordered_points(points)
-    if len(x) > 10:
-        raise UsageError("phase sum capped at 10 points")
+    x = _phase_sum_points(points)
     t = positive_time(t)
     kk = len(x) // 2
     inv_it = PHASE_CONVENTION / t
-    total = 0.0 + 0.0j
-    words, inv = _matching_table(len(x))
-    for w, count in zip(words.tolist(), inv.tolist()):
-        amp = 1.0
-        phase = 0.0
-        for i, j in zip(w[0::2], w[1::2]):
-            amp *= x[j] - x[i]
-            phase += 2.0 * x[i] * x[j]
-        total += (-1 if count % 2 else 1) * amp * np.exp(inv_it * phase)
+    words, inv, xi, xj = _pair_columns(x)
+    amp = np.where(inv % 2, -1.0, 1.0)  # the sign first: negation commutes with rounding
+    phase = np.zeros(len(words))
+    for a, b in zip(xi.T, xj.T):
+        amp *= b - a
+        phase += 2.0 * a * b
+    terms = amp * np.exp(inv_it * phase)
+    total = complex(_sum_in_order(terms.real), _sum_in_order(terms.imag))
     total *= np.exp(-np.sum(x * x) * inv_it)
     return complex(t ** (kk * (kk - 1)) * total / vandermonde(x))
 

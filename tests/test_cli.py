@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -7,7 +8,10 @@ import pytest
 
 from ginlab import stationary_phase
 from ginlab.cli import _max_check, _parse_bins, main
-from ginlab.pfaffian import enumerate_matchings
+
+
+#: twelve points: within find_max_matching's cap, beyond the phase sum's
+TWELVE_POINTS = "-3,-1.5,-0.4,0.3,0.31,2.2,2.9,4.0,5.5,7.25,8.0,9.5"
 
 
 def run_cli(args):
@@ -101,9 +105,45 @@ def test_stationary_phase_checks_points_once_per_public_call(tmp_path, monkeypat
     monkeypatch.setattr(stationary_phase, "_ordered_points", counted)
     points = "0.3,0.9,1.6,2.4,3.1,3.7,4.2,4.8,5.5,6.1"
     assert run_cli(["stationary-phase", "--points", points, "--out", str(tmp_path / "sp.csv")]) == 0
-    # one vandermonde_ratio_report per matching, then critical_data,
-    # matchings_phase_sum and phase_pfaffian_ratio at the one t, find_max_matching
-    assert len(calls) == len(enumerate_matchings(10)) + 4
+    # critical_table, matchings_phase_sum and phase_pfaffian_ratio at the one t,
+    # find_max_matching: one check per public call, none per matching
+    assert len(calls) == 4
+
+
+#: sha256 of the stationary-phase result files (default points, and the ten
+#: points of the benchmark), recorded from the per-matching scalar loop
+STATIONARY_PHASE_SHA256 = {
+    None: "12c9aa66f8094eb0f89be0ca370b769804062076e8083530c3262d0b85bf924a",
+    "0.3,0.9,1.6,2.4,3.1,3.7,4.2,4.8,5.5,6.1": "b22e3c17462dc2147695770eb548ef440e04a1b3fef3104aa33535ceee854072",
+}
+
+
+@pytest.mark.parametrize("points", list(STATIONARY_PHASE_SHA256))
+def test_stationary_phase_result_bytes_are_pinned(tmp_path, points):
+    out = tmp_path / "sp.csv"
+    argv = ["stationary-phase", "--out", str(out)] + (["--points", points] if points else [])
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STATIONARY_PHASE_SHA256[points]
+
+
+def test_stationary_phase_refuses_twelve_points_before_any_table(tmp_path, monkeypatch):
+    built = []
+
+    def no_table(*args):
+        built.append(args)
+        raise AssertionError("a matching table was built")
+
+    monkeypatch.setattr(stationary_phase, "_matching_table", no_table)
+    monkeypatch.setattr(stationary_phase, "_critical_table", no_table)
+    argv = ["stationary-phase", f"--points={TWELVE_POINTS}", "--out", str(tmp_path / "sp.csv")]
+    assert run_cli(argv) == 2
+    assert built == []
+
+
+def test_stationary_phase_degenerate_hessian_exits_1(tmp_path, capsys):
+    argv = ["stationary-phase", "--points", "0,1e-170,2e-170,3e-170", "--out", str(tmp_path / "sp.csv")]
+    assert run_cli(argv) == 1
+    assert "zero Hessian eigenvalue for (1,2)(3,4)" in capsys.readouterr().err
 
 
 def test_matrix_integral_k2(tmp_path, capsys):
@@ -189,6 +229,7 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["mc-density", "--bins=0:1:1"],
         ["kernel-table", "--points", "nan"],
         ["stationary-phase", "--points", "0.3,0.9,1.6"],
+        ["stationary-phase", f"--points={TWELVE_POINTS}"],
         ["heat-check", "--t-grid", "0.1"],
         # non-finite points and times
         ["lemma1", "--points", "nan,0.5"],

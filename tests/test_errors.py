@@ -45,6 +45,7 @@ POINT_TAKERS = [
     ("stationary_phase.sqrt_abs_hessian_det", lambda x: sp.sqrt_abs_hessian_det(M2, x), True),
     ("stationary_phase.vandermonde_ratio_report", lambda x: sp.vandermonde_ratio_report(M2, x), True),
     ("stationary_phase.critical_data", sp.critical_data, True),
+    ("stationary_phase.critical_table", sp.critical_table, True),
     ("stationary_phase.matchings_phase_sum", lambda x: sp.matchings_phase_sum(x, 1.0), True),
     ("stationary_phase.phase_pfaffian_ratio", lambda x: sp.phase_pfaffian_ratio(x, 1.0), True),
     ("stationary_phase.laplace_leading", lambda x: sp.laplace_leading(x, 1.0), True),

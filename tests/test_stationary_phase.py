@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab.group_integrals import exact_shape, integral_quadrature_k2, vandermonde
 from ginlab.pfaffian import (
@@ -14,6 +18,7 @@ from ginlab.stationary_phase import (
     CriticalDatum,
     _argmax_with_tie_check,
     critical_data,
+    critical_table,
     critical_value,
     find_max_matching,
     hessian_spectrum,
@@ -185,6 +190,74 @@ def test_phase_sum_and_critical_data_match_the_matching_loop_bit_for_bit(two_k):
     data = critical_data(x)
     assert [d.matching for d in data] == enumerate_matchings(two_k)
     assert [d.inversions for d in data] == [inversions(m) for m in enumerate_matchings(two_k)]
+
+
+def scalar_rows(x):
+    # the per-matching scalar loop: the oracle functions, matching by matching
+    rows = []
+    for m in enumerate_matchings(len(x)):
+        rep = vandermonde_ratio_report(m, x)
+        rows.append(
+            (
+                str(m),
+                critical_value(m, x),
+                inversions(m),
+                signature(m, x),
+                [v for v, _mult in hessian_spectrum(m, x)],
+                rep["sqrt_abs_hessian_det"],
+                rep["measured_log2_prefactor"],
+            )
+        )
+    return rows
+
+
+def scalar_max_matching(x):
+    ms = enumerate_matchings(len(x))
+    return ms[_argmax_with_tie_check([critical_value(m, x) for m in ms])]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# strictly increasing points: a start and 1 to 5 pairs of gaps of at least 1e-3,
+# so no Hessian eigenvalue, determinant or Vandermonde under- or overflows
+ordered_points = st.tuples(
+    st.floats(-50.0, 50.0),
+    st.integers(1, 5).flatmap(lambda kk: st.lists(st.floats(1e-3, 10.0), min_size=2 * kk - 1, max_size=2 * kk - 1)),
+).map(lambda sg: np.cumsum([sg[0], *sg[1]]))
+
+
+@settings(deadline=None)  # the scalar loop over 945 matchings takes about 0.25 s
+@given(x=ordered_points, t=st.floats(0.05, 20.0))
+def test_table_matches_the_scalar_loop_bit_for_bit(x, t):
+    expected = scalar_rows(x)
+    names, values, invs, sigs, spectra, dets, logs = (list(c) for c in zip(*expected))
+    table = critical_table(x)
+    assert table.names() == names
+    assert hexes(table.critical_values) == hexes(values)
+    assert table.inversions.tolist() == invs
+    assert table.signatures.tolist() == sigs
+    assert [hexes(row) for row in table.hessian_eigenvalues] == [hexes(row) for row in spectra]
+    assert hexes(table.sqrt_abs_hessian_dets) == hexes(dets)
+    assert hexes(table.log2_prefactors) == hexes(logs)
+    data = critical_data(x)
+    assert [str(d.matching) for d in data] == names
+    assert hexes(d.critical_value for d in data) == hexes(values)
+    assert [d.inversions for d in data] == invs
+    assert [d.signature for d in data] == sigs
+    assert [hexes(v for v, _mult in d.hessian_eigenvalues) for d in data] == [hexes(r) for r in spectra]
+    assert find_max_matching(x) == scalar_max_matching(x)
+    got, want = matchings_phase_sum(x, t), reference_phase_sum(x, t)
+    assert hexes((got.real, got.imag)) == hexes((want.real, want.imag))
+
+
+def test_underflowing_hessian_raises_naming_the_matching():
+    x = (0.0, 1e-170, 2e-170, 3e-170)
+    message = re.escape("zero Hessian eigenvalue for (1,2)(3,4)")
+    for call in (critical_table, critical_data, lambda x: signature(M0, x)):
+        with pytest.raises(ValueError, match=message):
+            call(x)
 
 
 def test_phase_sum_scale_covariance():
