@@ -378,8 +378,7 @@ def run_heat_check(cfg):
     def even_fn(x1, x2):
         return (x2 - x1) ** 2 * np.exp(-x1 * x1 - x2 * x2)
 
-    rep_odd = heat.initial_condition_check(odd_fn, ts)
-    rep_even = heat.initial_condition_check(even_fn, ts)
+    rep_odd, rep_even = heat.initial_condition_check((odd_fn, even_fn), ts)
     columns = ("test_fn", "t", "pairing", "extrapolated_limit")
     rows = [("odd", r.t, r.pairing, rep_odd.extrapolated) for r in rep_odd.rows] + [
         ("even", r.t, r.pairing, rep_even.extrapolated) for r in rep_even.rows

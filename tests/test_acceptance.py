@@ -180,8 +180,7 @@ def test_criterion_7_heat_characterization():
         def even_fn(x1, x2):
             return (x2 - x1) ** 2 * np.exp(-x1 * x1 - x2 * x2)
 
-        rep_odd = initial_condition_check(odd_fn, (0.1, 0.05, 0.025))
-        rep_even = initial_condition_check(even_fn, (0.1, 0.05, 0.025))
+        rep_odd, rep_even = initial_condition_check((odd_fn, even_fn), (0.1, 0.05, 0.025))
     assert all(o >= 1.9 for o in orders)
     assert rep_odd.error < 0.02 * abs(rep_odd.target)
     assert abs(rep_even.extrapolated) < 1e-6

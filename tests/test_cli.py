@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ginlab import stationary_phase
+from ginlab import heat, stationary_phase
 from ginlab.cli import _max_check, _parse_bins, main
 
 
@@ -160,6 +160,39 @@ def test_heat_check_campaign(tmp_path, capsys):
     assert "PASS odd_pairing_matches_target" in text
 
 
+#: sha256 of the default heat-check result files, recorded from the
+#: whole-grid pairing with one call per test function
+HEAT_CHECK_SHA256 = {
+    "csv": "d6e106aaac7883d025c41100050a365dc7c7452ec4b66193688431cba626d7e4",
+    "json": "88eefa512a0da8ddaf600094fae44a2e127a3006d41a9c377685b7a4de9a6cae",
+}
+
+
+@pytest.mark.parametrize("fmt", list(HEAT_CHECK_SHA256))
+def test_heat_check_result_bytes_are_pinned(tmp_path, fmt):
+    out = tmp_path / f"heat.{fmt}"
+    assert run_cli(["heat-check", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HEAT_CHECK_SHA256[fmt]
+
+
+def test_heat_check_pairs_both_functions_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    check = heat.initial_condition_check
+
+    def counted(test_fns, *args, **kwargs):
+        calls.append(len(test_fns))
+        return check(test_fns, *args, **kwargs)
+
+    monkeypatch.setattr(heat, "initial_condition_check", counted)
+    assert run_cli(["heat-check", "--out", str(tmp_path / "heat.csv")]) == 0
+    assert calls == [2]
+
+
+def test_heat_check_repeated_larger_time_passes(tmp_path):
+    # only the two smallest times must differ
+    assert run_cli(["heat-check", "--t-grid", "0.05,0.1,0.1", "--out", str(tmp_path / "heat.csv")]) == 0
+
+
 def test_mc_density_campaign(tmp_path, capsys):
     out = tmp_path / "dens.csv"
     code = run_cli(
@@ -231,6 +264,7 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["stationary-phase", "--points", "0.3,0.9,1.6"],
         ["stationary-phase", f"--points={TWELVE_POINTS}"],
         ["heat-check", "--t-grid", "0.1"],
+        ["heat-check", "--t-grid", "0.1,0.1"],
         # non-finite points and times
         ["lemma1", "--points", "nan,0.5"],
         ["mc-density", "--bins=nan,0,0.5,1"],

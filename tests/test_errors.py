@@ -61,7 +61,7 @@ TIME_TAKERS = [
     ("heat.pair_density_t", lambda t: heat.pair_density_t(0.4, t)),
     ("heat.projector_solution", lambda t: heat.projector_solution(np.eye(1), t, [0.2])),
     ("heat.flat_heat_residual", lambda t: _residual((0.1, 0.5), t)),
-    ("heat.initial_condition_check", lambda t: heat.initial_condition_check(_decaying, (0.1, 0.05, t))),
+    ("heat.initial_condition_check", lambda t: heat.initial_condition_check((_decaying,), (0.1, 0.05, t))),
     ("group_integrals.integrand_pair", lambda t: gi.integrand_pair(np.eye(2), (0.1, 0.5), t)),
     ("group_integrals.integral_mc_grid", lambda t: gi.integral_mc_grid([(0.1, 0.5)], [1.0, t], 9, 1)),
     ("group_integrals.integral_quadrature_k2", lambda t: gi.integral_quadrature_k2(0.1, 0.5, t)),

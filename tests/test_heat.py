@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ginlab.heat as heat
 from ginlab._rng import stream
+from ginlab.errors import UsageError
 from ginlab.group_integrals import (
     haar_unitaries,
     integral_quadrature_k2,
@@ -205,11 +207,24 @@ def test_skew_unitary_projector_heat_flow():
     assert math.log2(errs[0] / errs[1]) > 1.8
 
 
-def test_initial_condition_odd_function():
-    def odd_fn(x1, x2):
-        return (x2 - x1) * np.exp(-x1 * x1 - x2 * x2)
+def _odd_fn(x1, x2):
+    return (x2 - x1) * np.exp(-x1 * x1 - x2 * x2)
 
-    rep = initial_condition_check(odd_fn, (0.1, 0.05, 0.025))
+
+def _even_fn(x1, x2):
+    return (x2 - x1) ** 2 * np.exp(-x1 * x1 - x2 * x2)
+
+
+def _bump(x1, x2):
+    return np.exp(-8.0 * (x1 + 2.0) ** 2 - 8.0 * (x2 - 2.0) ** 2)
+
+
+def _no_density(delta, t):
+    raise AssertionError("pair_density_t was called")
+
+
+def test_initial_condition_odd_function():
+    (rep,) = initial_condition_check((_odd_fn,), (0.1, 0.05, 0.025))
     # derived closed form of the limiting pairing
     assert rep.target == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-6)
     errors = [abs(r.pairing - rep.target) for r in rep.rows]  # ascending t
@@ -219,31 +234,70 @@ def test_initial_condition_odd_function():
 
 
 def test_initial_condition_even_function():
-    def even_fn(x1, x2):
-        return (x2 - x1) ** 2 * np.exp(-x1 * x1 - x2 * x2)
-
-    rep = initial_condition_check(even_fn, (0.1, 0.05, 0.025))
+    (rep,) = initial_condition_check((_even_fn,), (0.1, 0.05, 0.025))
     assert abs(rep.target) < 1e-12
     assert abs(rep.extrapolated) < 1e-6
 
 
 def test_initial_condition_off_diagonal_support():
-    def bump(x1, x2):
-        return np.exp(-8.0 * (x1 + 2.0) ** 2 - 8.0 * (x2 - 2.0) ** 2)
-
-    rep = initial_condition_check(bump, (0.1, 0.05))
+    (rep,) = initial_condition_check((_bump,), (0.1, 0.05))
     assert all(abs(r.pairing) < 1e-12 for r in rep.rows)
 
 
 def test_initial_condition_rejects_non_decaying():
     with pytest.raises(ValueError):
-        initial_condition_check(lambda x1, x2: x2 - x1, (0.1, 0.05))
+        initial_condition_check((lambda x1, x2: x2 - x1,), (0.1, 0.05))
+
+
+def test_non_decaying_second_function_raises_before_any_density(monkeypatch):
+    monkeypatch.setattr(heat, "pair_density_t", _no_density)
+    with pytest.raises(ValueError, match="must decay"):
+        initial_condition_check((_odd_fn, lambda x1, x2: x2 - x1), (0.1, 0.05))
+
+
+@pytest.mark.parametrize("t_sequence", [(0.1, 0.1), (0.1, 0.2, 0.1)])
+def test_equal_smallest_times_raise_before_any_density(monkeypatch, t_sequence):
+    # the Richardson step divides by ts[1] / ts[0] - 1
+    monkeypatch.setattr(heat, "pair_density_t", _no_density)
+    with pytest.raises(UsageError, match="distinct"):
+        initial_condition_check((_odd_fn,), t_sequence)
+
+
+def _whole_grid_pairing(test_fn, t_sequence, half_range, grid):
+    """One function paired on the whole grid at once: the reference for the row blocks."""
+    ts = sorted(t_sequence)
+    xs = np.linspace(-half_range, half_range, grid)
+    step = xs[1] - xs[0]
+    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+    delta, weight = x1 - x2, test_fn(x1, x2)
+    pairings = []
+    for t in ts:
+        vals = pair_density_t(delta, t) * weight
+        pairings.append(float(np.trapezoid(np.trapezoid(vals, dx=step, axis=1), dx=step)))
+    ratio = ts[1] / ts[0]
+    extrapolated = (ratio * pairings[0] - pairings[1]) / (ratio - 1.0)
+    return ts, pairings, float(extrapolated), delta_prime_target(test_fn)
+
+
+@pytest.mark.parametrize(
+    "half_range, grid",
+    # the default grid, block boundaries, less than one block, a short last block
+    [(6.0, 801), (6.0, 65), (6.0, 129), (6.0, 33), (6.0, 97), (4.0, 801)],
+)
+def test_row_blocks_match_the_whole_grid_bit_for_bit(half_range, grid):
+    fns = (_odd_fn, _even_fn, _bump)
+    t_sequence = (0.1, 0.025, 0.05)
+    reports = initial_condition_check(fns, t_sequence, half_range=half_range, grid=grid)
+    assert len(reports) == len(fns)
+    for fn, rep in zip(fns, reports):
+        ts, pairings, extrapolated, target = _whole_grid_pairing(fn, t_sequence, half_range, grid)
+        assert [r.t for r in rep.rows] == ts
+        assert [r.pairing.hex() for r in rep.rows] == [p.hex() for p in pairings]
+        assert rep.extrapolated.hex() == extrapolated.hex()
+        assert rep.target.hex() == target.hex()
 
 
 def test_delta_prime_target_sign_convention():
     # target = -(C2/2) * int d/du f(v+u, v)|_0 dv; for f = (x2 - x1) * bump
     # the derivative in the first slot is -bump, so the target is positive
-    def odd_fn(x1, x2):
-        return (x2 - x1) * np.exp(-x1 * x1 - x2 * x2)
-
-    assert delta_prime_target(odd_fn) > 0
+    assert delta_prime_target(_odd_fn) > 0
