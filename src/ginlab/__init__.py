@@ -1,7 +1,11 @@
 """ginlab: numerical laboratory for real-eigenvalue statistics of the
 real Ginibre ensemble (Pfaffian point process limits, matrix integrals
 over skew-symmetric unitaries, stationary-phase combinatorics and the
-heat-flow characterization of the signed eigenvalue density)."""
+heat-flow characterization of the signed eigenvalue density).
+
+Importing the package, or ``ginlab.cli``, loads neither scipy nor
+numpy.random: each scipy import sits in the function that calls it, and
+numpy.random loads with the first RNG stream."""
 
 from .kernel import (
     correlation,

@@ -10,6 +10,8 @@ every draw is bit-identical to ``stream(seed, i)`` at a fraction of the
 construction cost.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1

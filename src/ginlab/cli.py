@@ -362,6 +362,8 @@ def run_stationary_phase(cfg):
 
 def run_heat_check(cfg):
     pts = cfg["points"] or (-0.35, 0.55)
+    if len(set(pts)) < len(pts):
+        raise UsageError("points must be distinct")
     ts = cfg["t_grid"] or (0.1, 0.05, 0.025)
     order_pf = heat.residual_order(heat.signed_density_t, pts, 1.0, 1e-3)
 

@@ -26,6 +26,8 @@ The two-point determinant moment E_n[det(M - x1) det(M - x2)] of the
 sampler's duality check is also here, as an exact finite sum.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

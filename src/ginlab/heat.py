@@ -95,11 +95,15 @@ def flat_heat_residual(fn, points, t: float, h: float, diffusion: float = 0.125)
 
 
 def residual_order(fn, points, t: float, h: float) -> float:
-    """Measured convergence order log2 |R(h)| / |R(h/2)| of the residual."""
+    """Measured convergence order log2 |R(h)| / |R(h/2)| of the residual.
+
+    NaN when both residuals are exactly 0: the order is then undefined, and
+    must fail any ``>=`` check instead of passing as infinite.
+    """
     r1 = abs(flat_heat_residual(fn, points, t, h))
     r2 = abs(flat_heat_residual(fn, points, t, h / 2.0))
     if r2 == 0.0:
-        return np.inf
+        return np.nan if r1 == 0.0 else np.inf
     return float(np.log2(r1 / r2))
 
 
@@ -186,8 +190,19 @@ class InitialConditionReport:
         return abs(self.extrapolated - self.target)
 
 
+def _checked_range(half_range, grid: int) -> float:
+    """``half_range`` as a float, once ``grid`` is an integer >= 2 and the range finite and positive."""
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise UsageError(f"grid must be an integer >= 2, got {grid!r}")
+    half_range = float(half_range)
+    if not 0.0 < half_range < np.inf:
+        raise UsageError(f"half_range must be finite and positive, got {half_range!r}")
+    return half_range
+
+
 def delta_prime_target(test_fn, half_range: float = 8.0, grid: int = 4001, h: float = 1e-5) -> float:
     """-(C_2/2) * int d/du test_fn(v + u, v)|_{u=0} dv, the limiting pairing."""
+    half_range = _checked_range(half_range, grid)
     v = np.linspace(-half_range, half_range, grid)
     dphi = (test_fn(v + h, v) - test_fn(v - h, v)) / (2.0 * h)
     c = moment_constant(2) / 2.0
@@ -207,8 +222,10 @@ def initial_condition_check(
     pairing with the derivative-of-delta initial data on the diagonal; a
     report carries the pairing sequence, its Richardson extrapolation
     (assuming the O(t) rate) and the independently computed target.  Raises
-    for a test function that does not decay and for fewer than two distinct
-    smallest times, before any grid work.
+    :class:`UsageError`, before any grid work, unless ``grid`` is an integer
+    >= 2, ``half_range`` is finite and positive and the two smallest times
+    are distinct; raises ``ValueError`` for a test function that does not
+    decay.
 
     All functions share one pass over the grid: each block of
     ``_ROW_BLOCK`` rows forms its separations and the functions' weights
@@ -218,6 +235,7 @@ def initial_condition_check(
     operation sees only its own element and ``axis=1`` reduces each row the
     same way, whatever the number of rows.
     """
+    half_range = _checked_range(half_range, grid)
     test_fns = tuple(test_fns)
     ts = sorted(positive_time(t) for t in t_sequence)
     if len(ts) < 2:

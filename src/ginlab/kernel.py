@@ -15,7 +15,6 @@ exp(-Tr M M^T) matrix normalization; no rescaling is applied here.
 """
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import UsageError, point_array
 from .pfaffian import pfaffian
@@ -31,6 +30,8 @@ DENSITY_CALIBRATION = 0.5
 
 def gauss_tail(x):
     """Normalized Gaussian tail pi**-0.5 * int_x^inf exp(-z*z) dz."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(x)
 
 
@@ -115,6 +116,8 @@ def spin_correlation(points) -> float:
     leaving plain Pf[erfc(x_j - x_i)].  Ties are allowed: a coincident pair
     contributes erfc(0) = 1 exactly.
     """
+    from scipy.special import erfc
+
     srt = np.sort(point_array(points, even=True))
     d = srt[None, :] - srt[:, None]  # d[i, j] = x_j - x_i
     a = np.triu(erfc(d), 1)

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 # Pivot below SIGN_DET_TOL * max|entry| is treated as an exact singularity.
 SIGN_DET_TOL = 1e-13
@@ -88,6 +87,8 @@ def sign_det(m, tol: float = SIGN_DET_TOL) -> int:
     Tracks row-swap parity and pivot signs; a pivot smaller than
     ``tol * max|entry|`` reports the degenerate value 0.
     """
+    import scipy.linalg as sla
+
     m = _require_square_real(m)
     scale = np.max(np.abs(m))
     if scale == 0.0:

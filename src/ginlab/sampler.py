@@ -30,11 +30,12 @@ magnitude.  The real-eigenvalue count, :func:`sample_ginoe` and
 at an eigenvalue, the strictly-below count (left limit) is used.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import beta, gamma, hyp2f1
 
 from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
 from .errors import UsageError, point_array
@@ -343,6 +344,8 @@ def expected_real_count(n: int) -> float:
 
     which is 1, sqrt(2) and 1 + 1/sqrt(2) at n = 1, 2, 3 and grows like sqrt(2n/pi).
     """
+    from scipy.special import beta, hyp2f1
+
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     return float(0.5 + np.sqrt(2.0) * hyp2f1(1.0, -0.5, n, 0.5) / beta(n, 0.5))
@@ -350,6 +353,8 @@ def expected_real_count(n: int) -> float:
 
 def sphere_area(m: int) -> float:
     """Surface area of the unit sphere in R**(m+1): 2 pi**((m+1)/2) / Gamma((m+1)/2)."""
+    from scipy.special import gamma
+
     return float(2.0 * np.pi ** ((m + 1) / 2.0) / gamma((m + 1) / 2.0))
 
 

@@ -175,6 +175,21 @@ def test_heat_check_result_bytes_are_pinned(tmp_path, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HEAT_CHECK_SHA256[fmt]
 
 
+#: sha256 of the default kernel-table result files, recorded with
+#: scipy.special imported at module level
+KERNEL_TABLE_SHA256 = {
+    "csv": "9fdbfd03d938715c83c5b6dca7cde1f8b4a524e1517755b54d097ed7fde29b03",
+    "json": "e263c5a96897d1980db34cef2c65ed706795830cf50447c9ba071cb265b6f056",
+}
+
+
+@pytest.mark.parametrize("fmt", list(KERNEL_TABLE_SHA256))
+def test_kernel_table_result_bytes_are_pinned(tmp_path, fmt):
+    out = tmp_path / f"kernel.{fmt}"
+    assert run_cli(["kernel-table", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == KERNEL_TABLE_SHA256[fmt]
+
+
 def test_heat_check_pairs_both_functions_in_one_call(tmp_path, monkeypatch):
     calls = []
     check = heat.initial_condition_check
@@ -265,6 +280,7 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["stationary-phase", f"--points={TWELVE_POINTS}"],
         ["heat-check", "--t-grid", "0.1"],
         ["heat-check", "--t-grid", "0.1,0.1"],
+        ["heat-check", "--points", "0.1,0.1"],
         # non-finite points and times
         ["lemma1", "--points", "nan,0.5"],
         ["mc-density", "--bins=nan,0,0.5,1"],

@@ -128,6 +128,24 @@ def test_quadrature_node_count_is_checked(nodes):
         gi.integral_quadrature_k2(0.1, 0.5, 1.0, nodes=nodes)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"grid": 0}, {"grid": 1}, {"grid": 2.5}, {"half_range": NAN}, {"half_range": INF},
+     {"half_range": 0.0}, {"half_range": -1.0}],
+    ids=["grid-0", "grid-1", "grid-float", "half_range-nan", "half_range-inf", "half_range-zero",
+         "half_range-negative"],
+)
+def test_heat_grid_and_range_are_usage_errors(kwargs):
+    def untouched(x1, x2):
+        raise AssertionError("evaluated a test function before checking the grid")
+
+    with pytest.raises(UsageError):
+        heat.initial_condition_check((untouched,), (0.1, 0.05), **kwargs)
+    # a negative range gave the target with its sign flipped
+    with pytest.raises(UsageError):
+        heat.delta_prime_target(untouched, **kwargs)
+
+
 def test_infinite_bin_edges_are_half_lines():
     # only NaN is refused: a bin edge at +-inf makes a half-line bin
     dens = sampler.estimate_signed_density(6, [-INF, 0.0, INF], 2, 50, 3)

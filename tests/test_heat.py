@@ -263,6 +263,25 @@ def test_equal_smallest_times_raise_before_any_density(monkeypatch, t_sequence):
         initial_condition_check((_odd_fn,), t_sequence)
 
 
+@pytest.mark.parametrize("kwargs", [{"grid": 1}, {"grid": 0}, {"half_range": float("nan")}, {"half_range": 0.0}])
+def test_bad_grid_or_range_raises_before_any_density(monkeypatch, kwargs):
+    # grid < 2 had no step xs[1] - xs[0]; a NaN range paired to NaN, and a
+    # range <= 0 was reported as a test function that does not decay
+    monkeypatch.setattr(heat, "pair_density_t", _no_density)
+    with pytest.raises(UsageError):
+        initial_condition_check((_odd_fn,), (0.1, 0.05), **kwargs)
+
+
+def test_two_point_grid_is_accepted():
+    (rep,) = initial_condition_check((_odd_fn,), (0.1, 0.05), grid=2)
+    assert all(np.isfinite(r.pairing) for r in rep.rows)
+
+
+def test_residual_order_is_nan_when_both_residuals_vanish():
+    # coincident points: the density is 0 at every stencil node
+    assert math.isnan(residual_order(signed_density_t, (0.1, 0.1), 1.0, 1e-3))
+
+
 def _whole_grid_pairing(test_fn, t_sequence, half_range, grid):
     """One function paired on the whole grid at once: the reference for the row blocks."""
     ts = sorted(t_sequence)
