@@ -79,6 +79,7 @@ def flat_heat_residual(fn, points, t: float, h: float, diffusion: float = 0.125)
 
     ``fn(points, t)`` must be smooth near the evaluation node and t > h.
     """
+    h = _checked_step(h)
     if not t > h:
         raise UsageError("need t > h for the centered time difference")
     x = point_array(points)
@@ -190,6 +191,14 @@ class InitialConditionReport:
         return abs(self.extrapolated - self.target)
 
 
+def _checked_step(h) -> float:
+    """The finite-difference step ``h`` as a float, once it is finite and positive."""
+    h = float(h)
+    if not 0.0 < h < np.inf:
+        raise UsageError(f"step h must be finite and positive, got {h!r}")
+    return h
+
+
 def _checked_range(half_range, grid: int) -> float:
     """``half_range`` as a float, once ``grid`` is an integer >= 2 and the range finite and positive."""
     if not isinstance(grid, (int, np.integer)) or grid < 2:
@@ -202,6 +211,7 @@ def _checked_range(half_range, grid: int) -> float:
 
 def delta_prime_target(test_fn, half_range: float = 8.0, grid: int = 4001, h: float = 1e-5) -> float:
     """-(C_2/2) * int d/du test_fn(v + u, v)|_{u=0} dv, the limiting pairing."""
+    h = _checked_step(h)
     half_range = _checked_range(half_range, grid)
     v = np.linspace(-half_range, half_range, grid)
     dphi = (test_fn(v + h, v) - test_fn(v - h, v)) / (2.0 * h)

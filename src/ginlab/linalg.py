@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Real spectra and robust determinant signs, wrapped over LAPACK (through
-numpy/scipy) with the classification and failure semantics the
-estimators rely on.  Everything here is a pure function of its inputs
-and safe to call concurrently.
+Real spectra and robust determinant signs, wrapped over numpy's LAPACK
+with the classification and failure semantics the estimators rely on.
+Everything here is a pure function of its inputs and safe to call
+concurrently; nothing here loads scipy.
 
 :func:`real_schur` is one ``np.linalg.eigvals`` call (LAPACK dgeev), which
 reads the eigenvalues off the diagonal blocks of the balanced matrix's
@@ -11,19 +11,19 @@ real Schur form: a 1x1 block gets an imaginary part of exactly 0, a
 standardized 2x2 block a pair a +- ib with b > 0.  So the real/complex
 split reads the block structure, not a threshold.
 
-:func:`sign_det` keeps its rule of 0 below a relative pivot of
-SIGN_DET_TOL, while the spin table raises only on an exact zero
-``slogdet`` sign: on 20,000 rank n - 1 matrices (n = 3..10) the first
-gave 0 for 19,986 and the second +-1 for 17,693, so one rule for both
-would change the answers of a public function.
+:func:`sign_det` reads the sign off a Householder QR (LAPACK dgeqrf) and
+keeps a rule of 0 below a relative diagonal of SIGN_DET_TOL, while the spin
+table raises only on an exact zero ``slogdet`` sign: on the tests' 20,000
+rank n - 1 matrices (n = 3..10) the first gives 0 for 19,992 and the second
++-1 for 17,773, so one rule for both would change the answers of a public
+function.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-# Pivot below SIGN_DET_TOL * max|entry| is treated as an exact singularity.
+# A diagonal entry of R below SIGN_DET_TOL * ||M||_F is treated as an exact singularity.
 SIGN_DET_TOL = 1e-13
 
 
@@ -82,25 +82,21 @@ def real_schur(m) -> Spectrum:
 
 
 def sign_det(m, tol: float = SIGN_DET_TOL) -> int:
-    """Exact sign of det(m) via pivoted LU, 0 on (near-)singularity.
+    """Exact sign of det(m) via Householder QR, 0 on (near-)singularity.
 
-    Tracks row-swap parity and pivot signs; a pivot smaller than
-    ``tol * max|entry|`` reports the degenerate value 0.
+    det(m) = det(Q) det(R): each nonzero tau of LAPACK's dgeqrf is one
+    reflection (det -1) and a zero tau the identity, so the sign is
+    (-1)**(nonzero taus) times the signs of R's diagonal.  A diagonal entry
+    smaller than ``tol * ||m||_F`` reports the degenerate value 0.
     """
-    import scipy.linalg as sla
-
     m = _require_square_real(m)
     scale = np.max(np.abs(m))
     if scale == 0.0:
         return 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exactly singular input
-        lu, piv = sla.lu_factor(m, check_finite=False)
-    pivots = np.diag(lu)
-    if np.min(np.abs(pivots)) < tol * scale:
+    h, tau = np.linalg.qr(m, mode="raw")
+    r = np.diagonal(h)
+    # ||m||_F, scaled so that neither huge nor tiny entries over- or underflow
+    if np.min(np.abs(r)) < tol * scale * np.linalg.norm(m / scale):
         return 0
-    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    sign = -1 if swaps % 2 else 1
-    neg = int(np.count_nonzero(pivots < 0))
-    return sign * (-1 if neg % 2 else 1)
-
+    flips = np.count_nonzero(tau) + np.count_nonzero(r < 0)
+    return -1 if flips % 2 else 1

@@ -17,17 +17,18 @@ Conventions
 Spin variables: spin(x) of a matrix is (-1)**(number of real eigenvalues
 strictly below x), which is the sign of det(M - xI) away from the spectrum.
 Both spin estimators reduce one (draws x points) table of spins, and that
-table is built from determinant signs, not eigenvalues: each block of draws
-is shifted by every point into one stack and a single batched
-``np.linalg.slogdet`` gives all the signs.  A zero sign (a point on the
-spectrum to working precision) raises :class:`DegenerateShiftError`.  The
-signed weight of the eigenvalues in a bin [lo, hi) telescopes to
-(spin(lo) - spin(hi)) / 2.  The Monte Carlo characteristic-polynomial
-moment reads the same stack of shifted determinants, sign and log
-magnitude.  The real-eigenvalue count, :func:`sample_ginoe` and
-``spin(sample, x, check=True)`` read the eigenvalues of
-:func:`.linalg.real_schur`, split by LAPACK's real Schur blocks; there,
-at an eigenvalue, the strictly-below count (left limit) is used.
+table is built from determinant signs, not eigenvalues: each draw of a block
+is written once into one stack, copied to every point and shifted, and a
+single batched ``np.linalg.slogdet`` gives all the signs.  A zero sign (a
+point on the spectrum to working precision) raises
+:class:`DegenerateShiftError`.  The signed weight of the eigenvalues in a
+bin [lo, hi) telescopes to (spin(lo) - spin(hi)) / 2.  The Monte Carlo
+characteristic-polynomial moment reads the same stack of shifted
+determinants, sign and log magnitude.  The real-eigenvalue count,
+:func:`sample_ginoe` and ``spin(sample, x, check=True)`` read the
+eigenvalues of :func:`.linalg.real_schur`, split by LAPACK's real Schur
+blocks; there, at an eigenvalue, the strictly-below count (left limit) is
+used.
 """
 
 from __future__ import annotations
@@ -109,8 +110,23 @@ class BinnedDensity:
         return self.weighted_counts * self.normalization
 
 
+def _fill_draws(out: np.ndarray, rngs) -> np.ndarray:
+    """Write one draw per row of ``out``, from the next generator of ``rngs``.
+
+    Row i is bit for bit ``rng.normal(scale=np.sqrt(ENTRY_VARIANCE),
+    size=out[i].shape)``: the same standard normals times the same scale,
+    plus the 0.0 that ``normal`` adds as its ``loc`` (-0.0 becomes +0.0).
+    """
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    out *= np.sqrt(ENTRY_VARIANCE)
+    out += 0.0
+    return out
+
+
 def _draw(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
+    """One n x n draw from ``rng``."""
+    return _fill_draws(np.empty((1, n, n)), (rng,))[0]
 
 
 def _check_samples(samples: int, min_samples: int = 2) -> None:
@@ -119,15 +135,15 @@ def _check_samples(samples: int, min_samples: int = 2) -> None:
         raise UsageError(f"need at least {min_samples} samples, got {samples}")
 
 
-def _draws(n: int, samples: int, seed: int, min_samples: int = 2):
-    """The run's draws in index order, draw i from stream(seed, i).
+def _draw_streams(n: int, samples: int, seed: int, min_samples: int = 2):
+    """The run's generators in index order, draw i's from stream(seed, i).
 
     The sizes are checked when this is called, before anything is drawn.
     """
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     _check_samples(samples, min_samples)
-    return (_draw(n, rng) for rng in streams(seed, samples))
+    return streams(seed, samples)
 
 
 def _estimate(vals: np.ndarray, seed: int) -> Estimate:
@@ -158,17 +174,18 @@ def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int, min_s
 
     Each yielded array is (draws in block, points), rows in draw order; a
     block holds as many draws as keep their shifted stack within
-    _SHIFT_BLOCK_BYTES, and at least one.
+    _SHIFT_BLOCK_BYTES, and at least one.  Each draw is written once, into
+    its first point's row, and copied to the other points.
     """
-    draws = _draws(n, samples, seed, min_samples)
+    rngs = _draw_streams(n, samples, seed, min_samples)
     p = len(points)
     block = max(1, _SHIFT_BLOCK_BYTES // (8 * max(p, 1) * n * n))
     diagonal = np.arange(n) * (n + 1)
     for start in range(0, samples, block):
         count = min(block, samples - start)
         stack = np.empty((count, p, n * n))
-        for row, m in zip(stack, draws):
-            row[:] = m.reshape(-1)
+        _fill_draws(stack[:, 0], rngs)
+        stack[:, 1:] = stack[:, :1]
         stack[:, :, diagonal] -= points[:, None]
         yield np.linalg.slogdet(stack.reshape(count, p, n, n))
 
@@ -332,7 +349,9 @@ def estimate_charpoly_moment(
 
 def estimate_real_count(n: int, samples: int, seed: int) -> Estimate:
     """Mean number of real eigenvalues of an n x n draw."""
-    counts = [len(real_schur(m).real_eigenvalues) for m in _draws(n, samples, seed)]
+    counts = [
+        len(real_schur(_draw(n, rng)).real_eigenvalues) for rng in _draw_streams(n, samples, seed)
+    ]
     return _estimate(np.array(counts, dtype=float), seed)
 
 

@@ -146,6 +146,33 @@ def test_heat_grid_and_range_are_usage_errors(kwargs):
         heat.delta_prime_target(untouched, **kwargs)
 
 
+def _untouched(*args):
+    raise AssertionError("evaluated a function before checking the step")
+
+
+#: (name, call on a finite-difference step h)
+STEP_TAKERS = [
+    ("heat.delta_prime_target", lambda h: heat.delta_prime_target(_untouched, h=h)),
+    ("heat.flat_heat_residual", lambda h: heat.flat_heat_residual(_untouched, (0.1, 0.5), 1.0, h)),
+    ("heat.residual_order", lambda h: heat.residual_order(_untouched, (0.1, 0.5), 1.0, h)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, h",
+    [
+        pytest.param(fn, h, id=f"{name}-h-{label}")
+        for name, fn in STEP_TAKERS
+        for label, h in (("nan", NAN), ("inf", INF), ("-inf", -INF), ("zero", 0.0), ("negative", -1e-3))
+    ],
+)
+def test_bad_finite_difference_steps_are_usage_errors(call, h):
+    # h = 0 gave NaN with a RuntimeWarning or a ZeroDivisionError, NaN read
+    # "need t > h", and a negative step was taken as given
+    with pytest.raises(UsageError, match="step h"):
+        call(h)
+
+
 def test_infinite_bin_edges_are_half_lines():
     # only NaN is refused: a bin edge at +-inf makes a half-line bin
     dens = sampler.estimate_signed_density(6, [-INF, 0.0, INF], 2, 50, 3)

@@ -52,6 +52,29 @@ def test_campaigns_without_scipy_functions_never_load_scipy(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_no_ginlab_path_loads_scipy_linalg(tmp_path):
+    out = _python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from ginlab.cli import main\n"
+        "from ginlab.linalg import sign_det\n"
+        "from ginlab.sampler import estimate_real_count, sample_ginoe, spin, stream\n"
+        "for argv in (['pfaffian-selftest'], ['kernel-table'], ['mc-spins', '--n', '20', '--samples', '2000'],\n"
+        "             ['mc-density', '--samples', '2000'], ['lemma1', '--n', '6', '--samples', '5000'],\n"
+        "             ['matrix-integral', '--k', '4', '--samples', '2000'], ['stationary-phase'],\n"
+        "             ['heat-check']):\n"
+        "    assert main([*argv, '--out', argv[0] + '.csv']) == 0, argv\n"
+        "assert sign_det(np.array([[0.0, 2.0], [3.0, 1.0]])) == -1\n"
+        "sample = sample_ginoe(30, stream(1, 0))\n"
+        "for x in (-0.5, 0.0, 0.5):\n"
+        "    spin(sample, x, check=True)\n"
+        "estimate_real_count(10, 50, 1)\n"
+        "print('scipy.linalg' in sys.modules)",
+        tmp_path,
+    )
+    assert out.splitlines()[-1] == "False"
+
+
 #: float.hex of sphere_area(1..20) and expected_real_count(1..10), recorded
 #: with scipy.special imported at module level
 SPHERE_AREA_HEX = [

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from ginlab._rng import stream
-from ginlab.linalg import real_schur, sign_det
-from ginlab.sampler import _draw
+from ginlab.linalg import SIGN_DET_TOL, real_schur, sign_det
+from ginlab.sampler import _draw, _spins
 
 
 def schur_real_count(m) -> int:
@@ -14,6 +16,33 @@ def schur_real_count(m) -> int:
     """
     t, _ = sla.schur(m, output="real")
     return len(t) - 2 * np.count_nonzero(np.diag(t, -1))
+
+
+def lu_sign_det(m, tol: float = SIGN_DET_TOL) -> int:
+    """The reference route: sign of det(m) by scipy's pivoted LU, 0 below a
+    pivot of ``tol * max|entry|`` (``sign_det`` before it moved to numpy's QR)."""
+    m = np.asarray(m, dtype=float)
+    scale = np.max(np.abs(m))
+    if scale == 0.0:
+        return 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exactly singular input
+        lu, piv = sla.lu_factor(m, check_finite=False)
+    pivots = np.diag(lu)
+    if np.min(np.abs(pivots)) < tol * scale:
+        return 0
+    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
+    sign = -1 if swaps % 2 else 1
+    neg = int(np.count_nonzero(pivots < 0))
+    return sign * (-1 if neg % 2 else 1)
+
+
+def rank_deficient_products(seed: int = 2024, per_size: int = 2500):
+    """Seeded products of Gaussian n x (n - 1) and (n - 1) x n factors, n = 3..10: rank n - 1."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 11):
+        for _ in range(per_size):
+            yield rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
 
 
 def test_real_schur_diagonal():
@@ -136,6 +165,38 @@ def test_sign_det_degenerate_is_zero():
     assert sign_det(np.zeros((4, 4))) == 0
     v = np.arange(1.0, 5.0)
     assert sign_det(np.outer(v, v)) == 0
+
+
+@pytest.mark.parametrize("n, draws", [(2, 200), (3, 200), (5, 150), (10, 100), (30, 30), (100, 10)])
+def test_sign_det_matches_lu_slogdet_and_schur_on_shifted_draws(n, draws):
+    for i in range(draws):
+        m = _draw(n, stream(2718, i))
+        reals = real_schur(m).real_eigenvalues
+        for x in stream(3141, i).normal(size=3):
+            shifted = m - x * np.eye(n)
+            got = sign_det(shifted)
+            assert got != 0, (n, i, x)
+            assert got == lu_sign_det(shifted), (n, i, x)
+            assert got == np.linalg.slogdet(shifted)[0], (n, i, x)
+            assert got == _spins(reals, x), (n, i, x)
+
+
+def test_sign_det_zero_rule_catches_what_lu_catches():
+    qr_zeros = lu_zeros = 0
+    for m in rank_deficient_products():
+        qr_zeros += sign_det(m) == 0
+        lu_zeros += lu_sign_det(m) == 0
+    assert qr_zeros >= lu_zeros > 19_900
+
+
+def test_sign_det_at_extreme_scales():
+    # the Frobenius scale is formed without squaring huge or tiny entries
+    m = _draw(6, stream(5, 0))
+    want = lu_sign_det(m)
+    for scale in (1e-300, 1e-150, 1e150, 1e300):
+        assert sign_det(m * scale) == want
+    assert sign_det(np.eye(3) * 1e300) == 1
+    assert sign_det(np.diag([1e-300, -1e-300])) == -1
 
 
 def test_complex_qr_unitarity_sweep():

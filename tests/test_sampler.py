@@ -18,7 +18,9 @@ from ginlab.sampler import (
     DegenerateShiftError,
     GinOESample,
     _draw,
-    _draws,
+    _draw_streams,
+    _fill_draws,
+    _shifted_slogdets,
     _spin_table,
     _spins,
     duality_check,
@@ -354,12 +356,55 @@ def test_determinant_sign_spins_match_eigenvalue_spins(n, points, seed):
 @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5])
 def test_draw_loop_reproduces_per_draw_streams(seed):
     for n in (1, 7):
-        for i, m in enumerate(_draws(n, 40, seed)):
-            assert np.array_equal(m, _draw(n, stream(seed, i)))
+        for i, rng in enumerate(_draw_streams(n, 40, seed)):
+            assert np.array_equal(_draw(n, rng), _draw(n, stream(seed, i)))
     # an odd count of 32-bit words leaves one buffered; the re-key must drop it
     for i, rng in enumerate(streams(seed, 5)):
         got = rng.integers(0, 2**32, size=3)
         assert np.array_equal(got, stream(seed, i).integers(0, 2**32, size=3))
+
+
+def _reference_draw(n, rng):
+    return rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**63])
+def test_draw_is_bit_for_bit_normal(seed):
+    for n in (1, 2, 7, 10, 100):
+        for i in range(5):
+            want = _reference_draw(n, stream(seed, i))
+            assert np.array_equal(_draw(n, stream(seed, i)), want)
+            assert np.array_equal(sample_ginoe(n, stream(seed, i)).matrix, want)
+        # rows of a strided view, as the shifted stack hands them over
+        out = np.empty((5, 2, n * n))
+        assert _fill_draws(out[:, 0], streams(seed, 5)).base is out
+        for i in range(5):
+            assert np.array_equal(out[i, 0], _reference_draw(n, stream(seed, i)).reshape(-1))
+
+
+def test_draw_turns_negative_zero_positive_as_normal_does():
+    class Zeros:
+        def standard_normal(self, out):
+            out[...] = -0.0
+            return out
+
+    assert not np.signbit(_fill_draws(np.empty((2, 9)), [Zeros(), Zeros()])).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shifted_stack_is_bit_for_bit_the_reference_draws(seed):
+    points = np.array([-0.7, 0.0, 0.3, 1.1])
+    for n, samples in ((10, 60), (100, 3)):
+        got = list(_shifted_slogdets(n, points, samples, seed))
+        sign = np.concatenate([s for s, _ in got])
+        logabs = np.concatenate([la for _, la in got])
+        eye = np.eye(n)
+        stack = np.array(
+            [[_reference_draw(n, stream(seed, i)) - x * eye for x in points] for i in range(samples)]
+        )
+        want_sign, want_logabs = np.linalg.slogdet(stack)
+        assert np.array_equal(sign, want_sign)
+        assert np.array_equal(logabs, want_logabs)
 
 
 def test_streams_held_together_are_independent():
