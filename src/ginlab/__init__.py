@@ -32,7 +32,6 @@ from .sampler import (
     estimate_charpoly_moment,
     estimate_real_count,
     estimate_signed_density,
-    estimate_spin_moment,
     estimate_spin_moments,
     expected_real_count,
     sample_ginoe,
@@ -54,7 +53,6 @@ __all__ = [
     "estimate_charpoly_moment",
     "estimate_real_count",
     "estimate_signed_density",
-    "estimate_spin_moment",
     "estimate_spin_moments",
     "expected_real_count",
     "gauss_tail",

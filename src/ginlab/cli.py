@@ -5,8 +5,9 @@ fixed constants, never the clock), writes a machine-readable result table
 (csv or json) plus a manifest with per-check pass/fail, and exits 0 on
 pass, 1 on a numerical failure, 2 on a usage error.
 
-Flag values resolve as: command line > environment (GINLAB_<FLAG>) >
-built-in default.
+Each campaign takes --seed, --out and --format plus only the flags its
+runner reads (CAMPAIGNS); any other flag is a usage error.  Flag values
+resolve as: command line > environment (GINLAB_<FLAG>) > built-in default.
 """
 
 import argparse
@@ -32,7 +33,6 @@ from .group_integrals import (
 )
 from .pfaffian import pfaffian, pfaffian_matchings
 from .sampler import (
-    BULK_DILATION,
     ENTRY_VARIANCE,
     duality_check,
     estimate_signed_density,
@@ -40,16 +40,18 @@ from .sampler import (
 )
 
 DEFAULT_SEED = 20240901
-CAMPAIGNS = (
-    "pfaffian-selftest",
-    "kernel-table",
-    "mc-spins",
-    "mc-density",
-    "lemma1",
-    "matrix-integral",
-    "stationary-phase",
-    "heat-check",
-)
+#: The flags each campaign's runner reads, beyond --seed, --out and
+#: --format, with their defaults; None leaves the default to the runner.
+CAMPAIGNS = {
+    "pfaffian-selftest": {},
+    "kernel-table": {"points": None},
+    "mc-spins": {"n": 100, "samples": 1000, "points": None},
+    "mc-density": {"n": 10, "samples": 4000, "bins": None},
+    "lemma1": {"n": 10, "samples": 20000, "points": None},
+    "matrix-integral": {"k": None, "samples": 200000, "points": None, "t_grid": None},
+    "stationary-phase": {"points": None, "t_grid": None},
+    "heat-check": {"points": None, "t_grid": None},
+}
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def write_manifest(path: str, config: dict, checks, wall_time: float) -> None:
         "wall_time_s": wall_time,
         "conventions": {
             "entry_variance": ENTRY_VARIANCE,
-            "bulk_dilation": BULK_DILATION,
+            "bulk_dilation": 1.0,
             "density_calibration": kernel.DENSITY_CALIBRATION,
         },
         "checks": [
@@ -128,9 +130,12 @@ def write_manifest(path: str, config: dict, checks, wall_time: float) -> None:
 
 def _parse_floats(text: str):
     try:
-        return tuple(float(p) for p in text.split(",") if p != "")
+        values = tuple(float(p) for p in text.split(",") if p != "")
     except ValueError as exc:
         raise UsageError(f"could not parse float list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty float list {text!r}")
+    return values
 
 
 def _parse_bins(text: str) -> np.ndarray:
@@ -184,7 +189,7 @@ def run_pfaffian_selftest(cfg):
 
 
 def run_kernel_table(cfg):
-    zs = cfg["points"] or tuple(np.linspace(0.0, 3.0, 13))
+    zs = tuple(np.linspace(0.0, 3.0, 13)) if cfg["points"] is None else cfg["points"]
     columns = (
         "z",
         "gauss_tail",
@@ -223,7 +228,7 @@ def run_kernel_table(cfg):
 
 
 def run_mc_spins(cfg):
-    pts = cfg["points"] or (0.0, 0.5)
+    pts = (0.0, 0.5) if cfg["points"] is None else cfg["points"]
     ests = estimate_spin_moments(cfg["n"], [pts], cfg["samples"], cfg["seed"])
     est = ests[0]
     closed = kernel.spin_correlation(pts)
@@ -234,8 +239,9 @@ def run_mc_spins(cfg):
     return columns, rows, checks
 
 
-def _bin_averaged_signed_density(lo1, hi1, lo2, hi2, nodes: int = 5) -> float:
-    u, w = np.polynomial.legendre.leggauss(nodes)
+def _bin_averaged_signed_density(lo1, hi1, lo2, hi2) -> float:
+    """The closed-form signed density averaged over a cell, by 5 x 5 Gauss-Legendre."""
+    u, w = np.polynomial.legendre.leggauss(5)
     x1 = 0.5 * (hi1 - lo1) * u + 0.5 * (hi1 + lo1)
     x2 = 0.5 * (hi2 - lo2) * u + 0.5 * (hi2 + lo2)
     total = 0.0
@@ -246,7 +252,7 @@ def _bin_averaged_signed_density(lo1, hi1, lo2, hi2, nodes: int = 5) -> float:
 
 
 def run_mc_density(cfg):
-    edges = cfg["bins"] if cfg["bins"] is not None else np.linspace(-0.75, 0.75, 5)
+    edges = np.linspace(-0.75, 0.75, 5) if cfg["bins"] is None else cfg["bins"]
     dens = estimate_signed_density(cfg["n"], edges, 2, cfg["samples"], cfg["seed"])
     columns = ("lo1", "hi1", "lo2", "hi2", "estimate", "stderr", "closed_form", "zscore")
     rows = []
@@ -267,10 +273,10 @@ def run_mc_density(cfg):
 
 
 def run_lemma1(cfg):
-    if cfg["points"]:
-        configs = [cfg["points"]]
-    else:
+    if cfg["points"] is None:
         configs = [(-0.4, 0.4), (-0.2, 0.6), (0.1, 0.8)]
+    else:
+        configs = [cfg["points"]]
     reports = [
         duality_check(cfg["n"], c, cfg["samples"], cfg["seed"] + 97 * i)
         for i, c in enumerate(configs)
@@ -289,16 +295,16 @@ def run_lemma1(cfg):
 
 
 def run_matrix_integral(cfg):
-    k = cfg["k"] or 2
-    ts = cfg["t_grid"] or (0.5, 0.8, 1.0, 1.5, 2.5)
+    k = 2 if cfg["k"] is None else cfg["k"]
+    ts = (0.5, 0.8, 1.0, 1.5, 2.5) if cfg["t_grid"] is None else cfg["t_grid"]
     columns = ("k", "points", "t", "value", "stderr", "exact_shape", "fitted_constant")
     if k == 2:
-        base = cfg["points"] or (-0.5, 0.7)
+        base = (-0.5, 0.7) if cfg["points"] is None else cfg["points"]
         configs = [tuple(np.asarray(base) * s) for s in (1.0, 0.8, 1.2, 0.6, 1.5)]
         values = [[integral_quadrature_k2(*c, t) for t in ts] for c in configs]
         tol = 1e-6
     elif k == 4:
-        base = cfg["points"] or (-0.9, -0.3, 0.3, 0.9)
+        base = (-0.9, -0.3, 0.3, 0.9) if cfg["points"] is None else cfg["points"]
         configs = [tuple(np.asarray(base) * s) for s in (1.0, 0.75, 1.25)]
         values = integral_mc_grid(configs, ts, cfg["samples"], cfg["seed"])
         tol = 0.02
@@ -322,8 +328,8 @@ def run_matrix_integral(cfg):
 
 
 def run_stationary_phase(cfg):
-    pts = cfg["points"] or (0.3, 0.9, 1.6, 2.4)
-    ts = cfg["t_grid"] or (1.0,)
+    pts = (0.3, 0.9, 1.6, 2.4) if cfg["points"] is None else cfg["points"]
+    ts = (1.0,) if cfg["t_grid"] is None else cfg["t_grid"]
     columns = (
         "matching",
         "critical_value",
@@ -361,10 +367,10 @@ def run_stationary_phase(cfg):
 
 
 def run_heat_check(cfg):
-    pts = cfg["points"] or (-0.35, 0.55)
+    pts = (-0.35, 0.55) if cfg["points"] is None else cfg["points"]
     if len(set(pts)) < len(pts):
         raise UsageError("points must be distinct")
-    ts = cfg["t_grid"] or (0.1, 0.05, 0.025)
+    ts = (0.1, 0.05, 0.025) if cfg["t_grid"] is None else cfg["t_grid"]
     order_pf = heat.residual_order(heat.signed_density_t, pts, 1.0, 1e-3)
 
     def integral_form(x, t):
@@ -406,11 +412,15 @@ RUNNERS = {
     "heat-check": run_heat_check,
 }
 
-DEFAULT_SAMPLES = {
-    "mc-spins": 1000,
-    "mc-density": 4000,
-    "lemma1": 20000,
-    "matrix-integral": 200000,
+#: Each flag a campaign may read: the type of its command-line or
+#: environment value, the parse of a list's text, and its help.
+FLAGS = {
+    "samples": (int, None, "Monte Carlo sample count"),
+    "n": (int, None, "matrix size"),
+    "k": (int, None, "integral size, 2 or 4"),
+    "points": (str, _parse_floats, "comma-separated positions"),
+    "t_grid": (str, _parse_floats, "comma-separated times"),
+    "bins": (str, _parse_bins, "bin edges e1,e2,... or lo:hi:count"),
 }
 
 
@@ -425,15 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="campaign", required=True)
-    for name in CAMPAIGNS:
+    for name, flags in CAMPAIGNS.items():
         p = sub.add_parser(name, help=f"run the {name} campaign")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fixed default)")
-        p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-        p.add_argument("--n", type=int, default=None, help="matrix size")
-        p.add_argument("--k", type=int, default=None, help="point count / integral size")
-        p.add_argument("--points", type=str, default=None, help="comma-separated positions")
-        p.add_argument("--t-grid", type=str, default=None, help="comma-separated times")
-        p.add_argument("--bins", type=str, default=None, help="bin edges e1,e2,... or lo:hi:count")
+        for flag in flags:
+            cast, _, text = FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), type=cast, default=None, help=text)
         p.add_argument("--out", type=str, default=None, help="result file path")
         p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
     return parser
@@ -446,24 +453,14 @@ def resolve_config(args) -> dict:
     cfg = {
         "campaign": args.campaign,
         "seed": _resolve(args.seed, "GINLAB_SEED", DEFAULT_SEED, int),
-        "samples": _resolve(
-            args.samples, "GINLAB_SAMPLES", DEFAULT_SAMPLES.get(args.campaign, 1000), int
-        ),
-        "n": _resolve(args.n, "GINLAB_N", 100 if args.campaign == "mc-spins" else 10, int),
-        "k": _resolve(args.k, "GINLAB_K", None, int),
-        "points": _resolve(args.points, "GINLAB_POINTS", None, str),
-        "t_grid": _resolve(args.t_grid, "GINLAB_T_GRID", None, str),
-        "bins": _resolve(args.bins, "GINLAB_BINS", None, str),
         "out": _resolve(args.out, "GINLAB_OUT", f"{args.campaign}.{fmt}", str),
         "format": fmt,
     }
-    if isinstance(cfg["points"], str):
-        cfg["points"] = _parse_floats(cfg["points"])
-    if isinstance(cfg["t_grid"], str):
-        cfg["t_grid"] = _parse_floats(cfg["t_grid"])
-    if isinstance(cfg["bins"], str):
-        cfg["bins"] = _parse_bins(cfg["bins"])
-    if cfg["samples"] < 1:
+    for flag, default in CAMPAIGNS[args.campaign].items():
+        cast, parse, _ = FLAGS[flag]
+        value = _resolve(getattr(args, flag), "GINLAB_" + flag.upper(), default, cast)
+        cfg[flag] = parse(value) if parse and value is not None else value
+    if "samples" in cfg and cfg["samples"] < 1:
         raise UsageError("samples must be >= 1")
     return cfg
 

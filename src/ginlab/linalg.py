@@ -71,7 +71,7 @@ def real_schur(m) -> Spectrum:
     m = _require_square_real(m)
     try:
         lam = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise SchurConvergenceError(str(exc)) from exc
     re, im = np.real(lam), np.imag(lam)
     upper = im > 0.0
@@ -81,13 +81,13 @@ def real_schur(m) -> Spectrum:
     )
 
 
-def sign_det(m, tol: float = SIGN_DET_TOL) -> int:
+def sign_det(m) -> int:
     """Exact sign of det(m) via Householder QR, 0 on (near-)singularity.
 
     det(m) = det(Q) det(R): each nonzero tau of LAPACK's dgeqrf is one
     reflection (det -1) and a zero tau the identity, so the sign is
     (-1)**(nonzero taus) times the signs of R's diagonal.  A diagonal entry
-    smaller than ``tol * ||m||_F`` reports the degenerate value 0.
+    smaller than ``SIGN_DET_TOL * ||m||_F`` reports the degenerate value 0.
     """
     m = _require_square_real(m)
     scale = np.max(np.abs(m))
@@ -96,7 +96,7 @@ def sign_det(m, tol: float = SIGN_DET_TOL) -> int:
     h, tau = np.linalg.qr(m, mode="raw")
     r = np.diagonal(h)
     # ||m||_F, scaled so that neither huge nor tiny entries over- or underflow
-    if np.min(np.abs(r)) < tol * scale * np.linalg.norm(m / scale):
+    if np.min(np.abs(r)) < SIGN_DET_TOL * scale * np.linalg.norm(m / scale):
         return 0
     flips = np.count_nonzero(tau) + np.count_nonzero(r < 0)
     return -1 if flips % 2 else 1

@@ -92,10 +92,10 @@ def canonical_symplectic(dim: int) -> np.ndarray:
     return j
 
 
-def require_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
+def require_skew(a) -> np.ndarray:
     """Validated skew-symmetric copy of ``a``: antisymmetrized, zero diagonal.
 
-    Rejects inputs whose symmetric defect exceeds ``tol * max|a|``.
+    Rejects inputs whose symmetric defect exceeds ``SKEW_TOL * max|a|``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -103,23 +103,23 @@ def require_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale > 0:
         defect = np.max(np.abs(a + a.T))
-        if defect > tol * scale:
+        if defect > SKEW_TOL * scale:
             raise ValueError(
-                f"matrix is not skew-symmetric: defect {defect:.3e} > {tol:.1e} * {scale:.3e}"
+                f"matrix is not skew-symmetric: defect {defect:.3e} > {SKEW_TOL:.1e} * {scale:.3e}"
             )
     b = 0.5 * (a - a.T)
     np.fill_diagonal(b, 0)
     return b
 
 
-def pfaffian(a, tol: float = SKEW_TOL):
+def pfaffian(a):
     """Pfaffian via skew tridiagonalization with partial pivoting.
 
     Row/column transpositions flip the sign and are tracked exactly, so
     Pf(a)^2 = det(a).  Odd dimension and non-skew input raise ValueError.
     Real input gives a float, complex input a complex.
     """
-    b = require_skew(a, tol)
+    b = require_skew(a)
     n = b.shape[0]
     if n % 2:
         raise ValueError(f"Pfaffian needs even dimension, got {n}")
@@ -200,18 +200,18 @@ def matching_sign(m: Matching) -> int:
     return -1 if inversions(m) % 2 else 1
 
 
-def pfaffian_matchings(a, tol: float = SKEW_TOL, cap: int = MATCHINGS_SUM_CAP):
+def pfaffian_matchings(a):
     """Pfaffian by the signed sum over perfect matchings.
 
-    Cost is (2K-1)!!, so dimension is capped (default 12).  Serves as an
-    independent oracle for :func:`pfaffian`.
+    Cost is (2K-1)!!, so the dimension is capped at MATCHINGS_SUM_CAP.
+    Serves as an independent oracle for :func:`pfaffian`.
     """
-    b = require_skew(a, tol)
+    b = require_skew(a)
     n = b.shape[0]
     if n % 2:
         raise ValueError(f"Pfaffian needs even dimension, got {n}")
-    if n > cap:
-        raise ValueError(f"matchings sum capped at dimension {cap}, got {n}")
+    if n > MATCHINGS_SUM_CAP:
+        raise ValueError(f"matchings sum capped at dimension {MATCHINGS_SUM_CAP}, got {n}")
     if n == 0:
         return 1.0
     words, inv = _matching_table(n)

@@ -6,10 +6,9 @@ Conventions
   exp(-Tr M M^T).  ENTRY_VARIANCE records this, and every estimator works
   in the matrix units this normalization induces.
 * Under this normalization the bulk-limit closed forms of :mod:`.kernel`
-  apply at unit spacing with no rescaling: BULK_DILATION = 1.0.  The
-  constant is selected empirically against the candidate dilations
-  {1/sqrt(2), 1, sqrt(2)} at several matrix sizes (see the sampler tests)
-  and is applied explicitly so the convention cannot drift silently.
+  apply at unit spacing with no rescaling: the bulk dilation is the
+  identity.  ``test_scaling_convention_protocol`` checks it against the
+  candidate dilations {1/sqrt(2), 1, sqrt(2)} at several matrix sizes.
 * Every estimator draws sample ``i`` from the RNG stream keyed by
   (seed, i) and reduces in index order, so results are bit-reproducible
   for any worker partition of the index range.
@@ -43,8 +42,11 @@ from .errors import UsageError, point_array
 from .linalg import Spectrum, real_schur, sign_det
 
 ENTRY_VARIANCE = 0.5
-BULK_DILATION = 1.0
 MIN_MOMENT_SAMPLES = 100
+# The duality check's bins: half-width around each point, and the signal to
+# noise the binned density must reach.
+DUALITY_HALFWIDTH = 0.125
+DUALITY_MIN_SNR = 3.0
 # Bytes of one stack of shifted draws handed to a batched slogdet: a block
 # stays cache-sized and adds nothing measurable to a run's peak memory (at
 # n=100 with four points a block is one draw).
@@ -135,14 +137,14 @@ def _check_samples(samples: int, min_samples: int = 2) -> None:
         raise UsageError(f"need at least {min_samples} samples, got {samples}")
 
 
-def _draw_streams(n: int, samples: int, seed: int, min_samples: int = 2):
+def _draw_streams(n: int, samples: int, seed: int):
     """The run's generators in index order, draw i's from stream(seed, i).
 
     The sizes are checked when this is called, before anything is drawn.
     """
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
-    _check_samples(samples, min_samples)
+    _check_samples(samples)
     return streams(seed, samples)
 
 
@@ -169,7 +171,7 @@ def _spins(reals: np.ndarray, points) -> np.ndarray:
     return np.where(np.searchsorted(reals, points, side="left") % 2, -1.0, 1.0)
 
 
-def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
+def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int):
     """Yield (sign, logabsdet) of det(M_i - x_j I) a block of draws at a time.
 
     Each yielded array is (draws in block, points), rows in draw order; a
@@ -177,7 +179,7 @@ def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int, min_s
     _SHIFT_BLOCK_BYTES, and at least one.  Each draw is written once, into
     its first point's row, and copied to the other points.
     """
-    rngs = _draw_streams(n, samples, seed, min_samples)
+    rngs = _draw_streams(n, samples, seed)
     p = len(points)
     block = max(1, _SHIFT_BLOCK_BYTES // (8 * max(p, 1) * n * n))
     diagonal = np.arange(n) * (n + 1)
@@ -190,11 +192,9 @@ def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int, min_s
         yield np.linalg.slogdet(stack.reshape(count, p, n, n))
 
 
-def _spin_table(n: int, points: np.ndarray, samples: int, seed: int, min_samples: int = 2):
+def _spin_table(n: int, points: np.ndarray, samples: int, seed: int):
     """(samples, len(points)) table of spins sign det(M_i - x_j I); row i is draw i."""
-    table = np.concatenate(
-        [sign for sign, _ in _shifted_slogdets(n, points, samples, seed, min_samples)]
-    )
+    table = np.concatenate([sign for sign, _ in _shifted_slogdets(n, points, samples, seed)])
     if not table.all():
         i, j = np.argwhere(table == 0)[0]
         raise DegenerateShiftError(
@@ -231,15 +231,11 @@ def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
     comparisons across configs).  A config's per-draw value is the product
     of its columns of the spin table.
     """
-    cfgs = [BULK_DILATION * point_array(c, even=True) for c in configs]
+    cfgs = [point_array(c, even=True) for c in configs]
+    _check_samples(samples, MIN_MOMENT_SAMPLES)
     points = np.unique(np.concatenate([np.empty(0), *cfgs]))
-    spins = _spin_table(n, points, samples, seed, MIN_MOMENT_SAMPLES)
+    spins = _spin_table(n, points, samples, seed)
     return [_estimate(spins[:, np.searchsorted(points, c)].prod(axis=1), seed) for c in cfgs]
-
-
-def estimate_spin_moment(n: int, points, samples: int, seed: int) -> Estimate:
-    """Mean and standard error of the spin product at one configuration."""
-    return estimate_spin_moments(n, [points], samples, seed)[0]
 
 
 def _as_intervals(bins) -> np.ndarray:
@@ -280,7 +276,7 @@ def estimate_signed_density(
     """
     if k % 2 or k <= 0 or k > 4:
         raise UsageError(f"supported k are 2 and 4, got {k}")
-    intervals = _as_intervals(np.asarray(bins, dtype=float) * BULK_DILATION)
+    intervals = _as_intervals(bins)
     m = len(intervals)
     if m < k:
         raise UsageError(f"need at least k={k} disjoint bins, got {m}")
@@ -306,11 +302,11 @@ def estimate_signed_density(
     counts = np.where(distinct, acc * orient if oriented else acc, np.nan)
     stderr = np.where(distinct, np.sqrt(var / samples) * norm, np.nan)
     return BinnedDensity(
-        intervals=intervals / BULK_DILATION,
+        intervals=intervals,
         k=k,
         weighted_counts=counts,
-        normalization=norm / samples * (BULK_DILATION ** k),
-        stderr=stderr * (BULK_DILATION ** k),
+        normalization=norm / samples,
+        stderr=stderr,
         n_samples=samples,
         seed=seed,
     )
@@ -399,9 +395,7 @@ def duality_check(
     points,
     samples: int,
     seed: int,
-    halfwidth: float = 0.125,
     moment: str = "quadrature",
-    min_snr: float = 3.0,
 ) -> DualityReport:
     """Ratio of the binned signed pair density to its determinant-moment formula.
 
@@ -412,25 +406,33 @@ def duality_check(
          :func:`.group_integrals.charpoly_moment_quadrature` ("quadrature"),
          or by Monte Carlo ("mc").
 
-    The ratio should not depend on the configuration; the absolute constant
-    is reported, not asserted.  Raises if the LHS is too noisy to be
-    informative, with a suggested sample count.
+    The bins are DUALITY_HALFWIDTH either side of each point.  The ratio
+    should not depend on the configuration; the absolute constant is
+    reported, not asserted.  Raises if the LHS is below DUALITY_MIN_SNR
+    standard errors, with a suggested sample count.  The exact moment is
+    computed before any draw, so a moment beyond the double range fails at
+    once.
     """
     pts = np.sort(point_array(points))
-    if len(pts) != 2 or not pts[1] - pts[0] >= 2 * halfwidth:
+    if len(pts) != 2 or not pts[1] - pts[0] >= 2 * DUALITY_HALFWIDTH:
         raise UsageError("need two points separated by at least the bin width")
     if n <= 2:
         raise UsageError("matrix size must exceed the number of points")
     if moment not in ("quadrature", "mc"):
         raise UsageError(f"unknown moment method {moment!r}")
-    bins = np.array([[pts[0] - halfwidth, pts[0] + halfwidth],
-                     [pts[1] - halfwidth, pts[1] + halfwidth]])
-    # bin in raw matrix units: this identity is exact at finite n
-    density = estimate_signed_density(n, bins / BULK_DILATION, 2, samples, seed)
-    lhs = float(density.values[0, 1]) / BULK_DILATION**2
-    lhs_se = float(density.stderr[0, 1]) / BULK_DILATION**2
-    if lhs_se > 0 and abs(lhs) < min_snr * lhs_se:
-        need = int(np.ceil(samples * (min_snr * lhs_se / max(abs(lhs), 1e-300)) ** 2))
+    _check_samples(samples)
+    if moment == "quadrature":
+        from .group_integrals import charpoly_moment_quadrature
+
+        mom = charpoly_moment_quadrature(n - 2, pts[0], pts[1])
+        mom_se = 0.0
+    bins = np.array([[pts[0] - DUALITY_HALFWIDTH, pts[0] + DUALITY_HALFWIDTH],
+                     [pts[1] - DUALITY_HALFWIDTH, pts[1] + DUALITY_HALFWIDTH]])
+    density = estimate_signed_density(n, bins, 2, samples, seed)
+    lhs = float(density.values[0, 1])
+    lhs_se = float(density.stderr[0, 1])
+    if lhs_se > 0 and abs(lhs) < DUALITY_MIN_SNR * lhs_se:
+        need = int(np.ceil(samples * (DUALITY_MIN_SNR * lhs_se / max(abs(lhs), 1e-300)) ** 2))
         raise RuntimeError(
             f"signed-density estimate too noisy ({lhs:.3e} +- {lhs_se:.3e}); "
             f"roughly {need} samples required"
@@ -441,12 +443,7 @@ def duality_check(
         * np.prod([sphere_area(n - k) * np.pi ** (-(n - k) / 2.0) for k in (1, 2)])
         * np.exp(-pts[0] ** 2 - pts[1] ** 2)
     )
-    if moment == "quadrature":
-        from .group_integrals import charpoly_moment_quadrature
-
-        mom = charpoly_moment_quadrature(n - 2, pts[0], pts[1])
-        mom_se = 0.0
-    else:
+    if moment == "mc":
         est = estimate_charpoly_moment(n - 2, pts, samples, seed + 1)
         mom, mom_se = est.mean, est.stderr
     rhs = prefactor * mom

@@ -13,8 +13,8 @@ perfect matchings of {1, ..., 2K}.  For a matching (i_1,j_1)...(i_K,j_K):
 
 The signed sum over matchings of the leading oscillatory contributions
 collapses to a ratio of a Pfaffian to a Vandermonde; ``matchings_phase_sum``
-builds both sides independently.  Complex exponents use the principal
-convention 1/(i t) = -i/t throughout (PHASE_CONVENTION below).
+builds both sides independently.  Complex exponents write 1/(i t) as
+-i/t.
 
 All matchings are handled at once, from the matching table of
 :mod:`ginlab.pfaffian`: the columns x[i_k] and x[j_k] of every word are
@@ -41,9 +41,6 @@ import numpy as np
 from .errors import UsageError, point_array, positive_time
 from .group_integrals import vandermonde
 from .pfaffian import Matching, _matching_table, _sum_in_order, _word_name, enumerate_matchings, pfaffian
-
-#: 1/(i t) is expanded as PHASE_CONVENTION / t with PHASE_CONVENTION = -1j.
-PHASE_CONVENTION = -1j
 
 
 def _ordered_points(points, two_k=None) -> np.ndarray:
@@ -330,7 +327,7 @@ def matchings_phase_sum(points, t: float) -> complex:
     x = _phase_sum_points(points)
     t = positive_time(t)
     kk = len(x) // 2
-    inv_it = PHASE_CONVENTION / t
+    inv_it = -1j / t
     words, inv, xi, xj = _pair_columns(x)
     amp = np.where(inv % 2, -1.0, 1.0)  # the sign first: negation commutes with rounding
     phase = np.zeros(len(words))
@@ -347,7 +344,7 @@ def phase_pfaffian_ratio(points, t: float) -> complex:
     """Pf[((x_j - x_i)/sqrt(t)) exp(-(x_i - x_j)^2/(it))] / V(x/sqrt(t))."""
     x = _ordered_points(points)
     t = positive_time(t)
-    inv_it = PHASE_CONVENTION / t
+    inv_it = -1j / t
     d = x[None, :] - x[:, None]
     a = (d / np.sqrt(t)) * np.exp(-d * d * inv_it)
     return complex(pfaffian(a) / vandermonde(x / np.sqrt(t)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ginlab import heat, stationary_phase
-from ginlab.cli import _max_check, _parse_bins, main
+from ginlab.cli import CAMPAIGNS, _max_check, _parse_bins, build_parser, main
 
 
 #: twelve points: within find_max_matching's cap, beyond the phase sum's
@@ -289,9 +289,66 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["matrix-integral", "--k", "2", "--t-grid", "0.5,nan"],
         ["heat-check", "--points", "nan,0.5"],
         ["heat-check", "--t-grid", "0.1,nan,0.025"],
+        # explicit values are used, never replaced by a default
+        ["matrix-integral", "--k", "0"],
+        ["stationary-phase", "--points="],
+        ["heat-check", "--t-grid="],
+        ["kernel-table", "--points="],
+        ["matrix-integral", "--points="],
     ):
         assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
         assert "usage error" in capsys.readouterr().err
+
+
+#: The flags each campaign's runner reads, beyond --seed, --out and --format
+READS = {
+    "pfaffian-selftest": set(),
+    "kernel-table": {"points"},
+    "mc-spins": {"n", "samples", "points"},
+    "mc-density": {"n", "samples", "bins"},
+    "lemma1": {"n", "samples", "points"},
+    "matrix-integral": {"k", "samples", "points", "t_grid"},
+    "stationary-phase": {"points", "t_grid"},
+    "heat-check": {"points", "t_grid"},
+}
+#: A value each flag accepts
+FLAG_VALUES = {"samples": "300", "n": "6", "k": "2", "points": "0,0.5", "t_grid": "1,2", "bins": "0:1:2"}
+#: Small sizes for the campaigns that draw
+SMALL = {
+    "mc-spins": ["--n", "10", "--samples", "200"],
+    "lemma1": ["--n", "6", "--samples", "5000"],
+}
+
+
+def _option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+def test_campaigns_take_only_the_flags_they_read(tmp_path, capsys):
+    assert {name: set(flags) for name, flags in CAMPAIGNS.items()} == READS
+    parser = build_parser()
+    for campaign, reads in READS.items():
+        argv = [campaign, "--seed", "3", "--out", "x.json", "--format", "json"]
+        args = parser.parse_args(argv + [a for f in reads for a in (_option(f), FLAG_VALUES[f])])
+        assert (args.seed, args.out, args.format) == (3, "x.json", "json")
+        for flag in FLAG_VALUES.keys() - reads:
+            with pytest.raises(SystemExit) as exc:
+                run_cli([campaign, _option(flag), FLAG_VALUES[flag], "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2, (campaign, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("campaign", list(READS))
+def test_manifest_records_only_the_flags_a_campaign_reads(tmp_path, monkeypatch, campaign):
+    # a flag the campaign does not read is never resolved, so a value no
+    # campaign could parse in its environment variable goes unseen
+    for flag in FLAG_VALUES.keys() - READS[campaign]:
+        monkeypatch.setenv("GINLAB_" + flag.upper(), "not-a-value")
+    out = tmp_path / "x.csv"
+    assert run_cli([campaign, *SMALL.get(campaign, []), "--out", str(out)]) == 0
+    config = read_manifest(str(out) + ".manifest.json")["config"]
+    assert config.keys() == {"campaign", "seed", "out", "format", *READS[campaign]}
 
 
 def test_env_override_precedence(tmp_path, monkeypatch):

@@ -30,7 +30,6 @@ POINT_TAKERS = [
     ("kernel.signed_density", kernel.signed_density, True),
     ("kernel.spin_correlation", kernel.spin_correlation, True),
     ("sampler.estimate_spin_moments", lambda x: sampler.estimate_spin_moments(5, [x], 100, 1), True),
-    ("sampler.estimate_spin_moment", lambda x: sampler.estimate_spin_moment(5, x, 100, 1), True),
     ("sampler.estimate_charpoly_moment", lambda x: sampler.estimate_charpoly_moment(5, x, 9, 1), False),
     ("sampler.duality_check", lambda x: sampler.duality_check(10, x, 100, 1), False),
     ("group_integrals.integrand_pair", lambda x: gi.integrand_pair(np.eye(2), x), True),

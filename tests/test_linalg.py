@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from ginlab._rng import stream
-from ginlab.linalg import SIGN_DET_TOL, real_schur, sign_det
+from ginlab.linalg import SIGN_DET_TOL, SchurConvergenceError, real_schur, sign_det
 from ginlab.sampler import _draw, _spins
 
 
@@ -126,6 +126,17 @@ def test_real_schur_badly_scaled_matrices():
     spec = real_schur(np.array([[0.0, 1.0], [1e-300, 0.0]]))
     assert np.allclose(spec.real_eigenvalues, [-1e-150, 1e-150], rtol=1e-12, atol=0.0)
     assert len(spec.complex_pairs) == 0
+
+
+def test_real_schur_non_convergence_is_a_runtime_error(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(SchurConvergenceError, match="did not converge"):
+        real_schur(np.eye(3))
+    # the command line maps a RuntimeError to exit code 1
+    assert issubclass(SchurConvergenceError, RuntimeError)
 
 
 def test_real_schur_rejects_bad_input():

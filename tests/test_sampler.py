@@ -13,7 +13,6 @@ from ginlab.group_integrals import integral_mc_grid
 from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
 from ginlab.linalg import real_schur
 from ginlab.sampler import (
-    BULK_DILATION,
     ENTRY_VARIANCE,
     DegenerateShiftError,
     GinOESample,
@@ -28,7 +27,6 @@ from ginlab.sampler import (
     estimate_real_count,
     expected_real_count,
     estimate_signed_density,
-    estimate_spin_moment,
     estimate_spin_moments,
     sample_ginoe,
     spin,
@@ -103,41 +101,41 @@ def test_sample_validates_spectrum():
 
 
 def test_estimate_spin_moment_coincident_pair():
-    est = estimate_spin_moment(12, (0.4, 0.4), 150, seed=6)
+    est = estimate_spin_moments(12, [(0.4, 0.4)], 150, seed=6)[0]
     assert est.mean == 1.0
     assert est.stderr == 0.0
 
 
 def test_estimate_spin_moment_matches_closed_form():
-    est = estimate_spin_moment(100, (0.0, 0.5), 800, seed=7)
+    est = estimate_spin_moments(100, [(0.0, 0.5)], 800, seed=7)[0]
     assert abs(est.mean - erfc(0.5)) < 3 * est.stderr
 
 
 def test_estimate_spin_moment_large_separation():
     # erfc(4) ~ 1.5e-8 is indistinguishable from 0 at this sample size
-    est = estimate_spin_moment(60, (0.0, 4.0), 400, seed=77)
+    est = estimate_spin_moments(60, [(0.0, 4.0)], 400, seed=77)[0]
     assert abs(est.mean - erfc(4.0)) < 3 * est.stderr
 
 
 def test_estimate_spin_moment_reproducible():
-    a = estimate_spin_moment(20, (0.0, 0.7), 200, seed=8)
-    b = estimate_spin_moment(20, (0.0, 0.7), 200, seed=8)
+    a = estimate_spin_moments(20, [(0.0, 0.7)], 200, seed=8)[0]
+    b = estimate_spin_moments(20, [(0.0, 0.7)], 200, seed=8)[0]
     assert a == b
-    c = estimate_spin_moment(20, (0.0, 0.7), 200, seed=9)
+    c = estimate_spin_moments(20, [(0.0, 0.7)], 200, seed=9)[0]
     assert c.mean != a.mean
 
 
 def test_seed_split_consistency():
-    a = estimate_spin_moment(40, (0.0, 0.5), 600, seed=10)
-    b = estimate_spin_moment(40, (0.0, 0.5), 600, seed=11)
+    a = estimate_spin_moments(40, [(0.0, 0.5)], 600, seed=10)[0]
+    b = estimate_spin_moments(40, [(0.0, 0.5)], 600, seed=11)[0]
     assert abs(a.mean - b.mean) < 3 * np.hypot(a.stderr, b.stderr)
 
 
 def test_estimate_spin_moment_validation():
     with pytest.raises(ValueError):
-        estimate_spin_moment(10, (0.0, 0.5, 1.0), 200, seed=1)
+        estimate_spin_moments(10, [(0.0, 0.5, 1.0)], 200, seed=1)[0]
     with pytest.raises(ValueError):
-        estimate_spin_moment(10, (0.0, 0.5), 50, seed=1)
+        estimate_spin_moments(10, [(0.0, 0.5)], 50, seed=1)[0]
 
 
 def test_scaling_convention_protocol():
@@ -156,7 +154,6 @@ def test_scaling_convention_protocol():
         ests = estimate_spin_moments(n, cfgs, samples, seed)
         for (c, hist), est in zip(candidates.items(), ests):
             hist.append(abs(est.mean - erfc(d)) / est.stderr)
-    assert BULK_DILATION == 1.0
     assert all(z < 3.0 for z in candidates[1.0])
     for wrong in (np.sqrt(2.0), 1.0 / np.sqrt(2.0)):
         assert candidates[wrong][0] > 4.0 or candidates[wrong][1] > 4.0
@@ -283,7 +280,7 @@ def test_expected_real_count_closed_form():
 
 def test_duality_ratio_is_configuration_independent():
     reports = [
-        duality_check(10, cfg, 25000, seed=31 + i, halfwidth=0.125)
+        duality_check(10, cfg, 25000, seed=31 + i)
         for i, cfg in enumerate([(-0.4, 0.4), (-0.2, 0.6)])
     ]
     for r in reports:
@@ -293,6 +290,17 @@ def test_duality_ratio_is_configuration_independent():
         reports[0].ratio_stderr, reports[1].ratio_stderr
     )
     assert z < 3.0
+
+
+def test_duality_check_computes_the_exact_moment_before_drawing(monkeypatch):
+    # at n = 200 the unnormalized moment is beyond the double range; that
+    # must fail before the draws, not after them
+    def refuse(*args):
+        raise AssertionError("drew before computing the exact moment")
+
+    monkeypatch.setattr("ginlab.sampler.streams", refuse)
+    with pytest.raises(OverflowError):
+        duality_check(200, (-0.4, 0.4), 4000, 1)
 
 
 def test_duality_mc_moment_mode():

@@ -14,7 +14,6 @@ from ginlab.pfaffian import (
     matching_sign,
 )
 from ginlab.stationary_phase import (
-    PHASE_CONVENTION,
     CriticalDatum,
     _argmax_with_tie_check,
     critical_data,
@@ -167,7 +166,7 @@ def test_phase_sum_equals_pfaffian_ratio(two_k, tol):
 def reference_phase_sum(x, t):
     # the per-Matching loop with the recounted sign, before the matching table
     kk = len(x) // 2
-    inv_it = PHASE_CONVENTION / t
+    inv_it = -1j / t
     total = 0.0 + 0.0j
     for m in enumerate_matchings(len(x)):
         amp = 1.0
