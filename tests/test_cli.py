@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ginlab import heat, stationary_phase
+from ginlab import heat, kernel, stationary_phase
 from ginlab.cli import CAMPAIGNS, _max_check, _parse_bins, build_parser, main
 
 
@@ -251,17 +251,31 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: exact_shape underflowed to 0" in err
     assert "points (-30.0, 40.0), t = 0.5" in err
-    # exp(2400) overflows and exp(-2500) underflows, so the quadrature's
-    # product is inf * 0: a numerical failure that names the node, not a
-    # NaN table
+    # in the form exp(-(x1^2 + x2^2)/t) * exp(2 x1 x2/t) this node is
+    # exp(-2500) * exp(2400), 0 * inf; the closed form gives exp(-100)
     argv = ["matrix-integral", "--k", "2", "--points=3,4", "--t-grid", "0.01,0.5"]
-    assert run_cli([*argv, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "numerical failure: integral_quadrature_k2 is not finite" in err
-    assert "points (3.0, 4.0), t = 0.01" in err
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+    assert [float(r["value"]) for r in rows[:2]] == [np.exp(-100.0), np.exp(-2.0)]
 
 
-def test_usage_error_exit_codes(tmp_path, capsys):
+def test_failed_check_exits_1_and_still_writes(tmp_path, capsys, monkeypatch):
+    # a closed form the estimate cannot match: the run completes, and the
+    # failed check alone makes the exit code 1
+    monkeypatch.setattr(kernel, "spin_correlation", lambda points: -1.0)
+    out = tmp_path / "spins.csv"
+    argv = ["mc-spins", "--n", "10", "--samples", "200", "--seed", "1", "--out", str(out)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert "FAIL spin_moment_within_3_stderr" in captured.out
+    assert "1 check(s) failed" in captured.err
+    assert out.exists()
+    checks = read_manifest(str(out) + ".manifest.json")["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("spin_moment_within_3_stderr", False)]
+
+
+def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-campaign"])
     assert exc.value.code == 2
@@ -295,9 +309,26 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["heat-check", "--t-grid="],
         ["kernel-table", "--points="],
         ["matrix-integral", "--points="],
+        # the number of points must be k
+        ["matrix-integral", "--k", "2", "--points=0.1,0.5,0.9"],
+        ["matrix-integral", "--k", "4", "--points=0.1,0.5", "--samples", "100"],
+        # sample counts and bin specs the command line refuses
+        ["mc-spins", "--samples", "0"],
+        ["mc-density", "--bins=0:1"],
+        ["mc-density", "--bins", "0.5"],
     ):
         assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
         assert "usage error" in capsys.readouterr().err
+    # bad environment values for settings the campaign reads
+    for name, value, campaign, message in (
+        ("GINLAB_N", "abc", "mc-spins", "bad GINLAB_N='abc'"),
+        ("GINLAB_FORMAT", "xml", "kernel-table", "format must be csv or json, got 'xml'"),
+    ):
+        with monkeypatch.context() as env:
+            env.setenv(name, value)
+            assert run_cli([campaign, "--out", str(tmp_path / "x.csv")]) == 2, name
+        assert f"usage error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 #: The flags each campaign's runner reads, beyond --seed, --out and --format

@@ -95,6 +95,7 @@ BIN_CASES = [
     pytest.param([NAN, 0.0, 0.5, 1.0], id="nan-edge"),
     pytest.param([[0.0, 0.5], [NAN, 2.0]], id="nan-interval"),
     pytest.param([], id="empty"),
+    pytest.param([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0]], id="shape-2x3"),
 ]
 
 
@@ -121,10 +122,22 @@ def test_nan_bin_edges_are_usage_errors(no_draws, bins):
         sampler.estimate_signed_density(6, bins, 2, 50, 3)
 
 
-@pytest.mark.parametrize("nodes", [0, -3])
-def test_quadrature_node_count_is_checked(nodes):
+#: (name, a call whose parameters other than points and times are refused)
+PARAMETER_TAKERS = [
+    ("sampler.sample_ginoe-n-0", lambda: sampler.sample_ginoe(0, np.random.default_rng(1))),
+    ("sampler.duality_check-points-too-close", lambda: sampler.duality_check(10, (0.1, 0.2), 100, 1)),
+    ("sampler.duality_check-moment-unknown", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="x")),
+    ("group_integrals.integral_mc_grid-mixed-sizes",
+     lambda: gi.integral_mc_grid([(0.1, 0.5), (-0.9, -0.3, 0.3, 0.9)], [1.0], 9, 1)),
+    ("stationary_phase.find_max_matching-14-points", lambda: sp.find_max_matching(np.arange(14.0))),
+    ("stationary_phase.critical_value-size-mismatch", lambda: sp.critical_value(identity_matching(4), (0.1, 0.5))),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(fn, id=name) for name, fn in PARAMETER_TAKERS])
+def test_bad_parameters_are_usage_errors(no_draws, call):
     with pytest.raises(UsageError):
-        gi.integral_quadrature_k2(0.1, 0.5, 1.0, nodes=nodes)
+        call()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 from math import comb, factorial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,11 +124,11 @@ def test_quadrature_k2_closed_form():
 #: float.hex of integral_quadrature_k2 on the default ``matrix-integral --k 2``
 #: grid: configs (-0.5, 0.7) * s for s in (1, 0.8, 1.2, 0.6, 1.5), by row
 K2_DEFAULT_GRID_HEX = [
-    ("0x1.cbdb2151527f9p-5", "0x1.52883937d0a36p-3", "0x1.e53a61786f312p-3", "0x1.8815129c89621p-2", "0x1.1fd12273a0adbp-1"),
-    ("0x1.44380b8e526d0p-3", "0x1.4396961887b49p-2", "0x1.976e5bb007c7bp-2", "0x1.14f969f68633cp-1", "0x1.6223248f96065p-1"),
-    ("0x1.030227155f65bp-6", "0x1.32ab0ad762550p-4", "0x1.017ff39d43810p-3", "0x1.00ffb7eccf37ap-2", "0x1.bec3bbfea93f4p-2"),
-    ("0x1.6b18ff928d2ebp-2", "0x1.0bd2927938545p-1", "0x1.30e1c6ed2ad33p-1", "0x1.6a642d9bed3cfp-1", "0x1.a01dc16113d27p-1"),
-    ("0x1.92144ad2e5a36p-10", "0x1.1d72bc52e5f10p-6", "0x1.40d4a4144abf2p-5", "0x1.d85f27744063fp-4", "0x1.1830eabd7e2f1p-2"),
+    ("0x1.cbdb2151527fap-5", "0x1.52883937d0a34p-3", "0x1.e53a61786f313p-3", "0x1.8815129c89621p-2", "0x1.1fd12273a0adap-1"),
+    ("0x1.44380b8e526d2p-3", "0x1.4396961887b4ap-2", "0x1.976e5bb007c7bp-2", "0x1.14f969f68633dp-1", "0x1.6223248f96067p-1"),
+    ("0x1.030227155f65cp-6", "0x1.32ab0ad762552p-4", "0x1.017ff39d4380fp-3", "0x1.00ffb7eccf37ap-2", "0x1.bec3bbfea93f6p-2"),
+    ("0x1.6b18ff928d2e9p-2", "0x1.0bd2927938547p-1", "0x1.30e1c6ed2ad33p-1", "0x1.6a642d9bed3d0p-1", "0x1.a01dc16113d27p-1"),
+    ("0x1.92144ad2e5a35p-10", "0x1.1d72bc52e5f0fp-6", "0x1.40d4a4144abf0p-5", "0x1.d85f27744063ep-4", "0x1.1830eabd7e2f0p-2"),
 ]
 
 
@@ -135,10 +137,18 @@ def test_quadrature_k2_default_grid_is_bit_identical():
     ts = (0.5, 0.8, 1.0, 1.5, 2.5)
     got = [[integral_quadrature_k2(*c, t).hex() for t in ts] for c in configs]
     assert got == [list(row) for row in K2_DEFAULT_GRID_HEX]
+    # every pinned cell is within 1.5 ulp of exp(-(x1 - x2)^2/t) at 200 bits
+    with mpmath.workprec(200):
+        for (x1, x2), row in zip(configs, K2_DEFAULT_GRID_HEX):
+            for t, cell in zip(ts, row):
+                value = float.fromhex(cell)
+                exact = mpmath.exp(-((mpmath.mpf(x1) - mpmath.mpf(x2)) ** 2) / mpmath.mpf(t))
+                assert abs(mpmath.mpf(value) - exact) <= 1.5 * math.ulp(value), (x1, x2, t)
 
 
 def quadrature_k2_per_node(x1, x2, t, nodes=512):
-    """The reference: the quadrature with one 2x2 trace per node."""
+    """An independent reference: a trapezoid rule over the skew-unitary circle,
+    with one 2x2 trace per node."""
     x = np.array([x1, x2])
     xd = np.diag(x).astype(complex)
     j = canonical_symplectic(2)
@@ -150,14 +160,32 @@ def quadrature_k2_per_node(x1, x2, t, nodes=512):
     return float(np.exp(-np.sum(x * x) / t) * np.mean(np.exp(vals / t)))
 
 
-def test_quadrature_k2_batch_matches_per_node_loop():
+def test_quadrature_k2_matches_per_node_integral():
+    # the reference rounds exp(-(x1^2 + x2^2)/t) and exp(2 x1 x2/t)
+    # separately, so its relative error grows with their exponents
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(2929)
-    for nodes in (1, 3, 512):
-        for _ in range(12):
-            x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-            t = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-            want = quadrature_k2_per_node(x1, x2, t, nodes)
-            assert integral_quadrature_k2(x1, x2, t, nodes).hex() == want.hex()
+    for _ in range(100):
+        x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+        t = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        want = quadrature_k2_per_node(x1, x2, t)
+        bound = 4.0 * eps * (1.0 + (x1 * x1 + x2 * x2 + 2.0 * abs(x1 * x2)) / t)
+        assert abs(integral_quadrature_k2(x1, x2, t) - want) <= bound * want, (x1, x2, t)
+
+
+def test_skew_unitary_trace_is_constant_on_the_circle():
+    # every 2x2 skew-symmetric unitary is e^{i theta} J, and
+    # Tr(W^dagger X W X) = 2 x1 x2 on all of them: the two-point integrand
+    # does not depend on the group variable
+    eps = np.finfo(float).eps
+    j = canonical_symplectic(2)
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+        w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * j
+        xd = np.diag([x1, x2]).astype(complex)
+        tr = np.trace(w.conj().T @ xd @ w @ xd)
+        assert abs(tr - 2.0 * x1 * x2) <= 4.0 * eps * abs(2.0 * x1 * x2), (x1, x2)
 
 
 def test_exact_shape_properties():

@@ -88,6 +88,12 @@ def test_pfaffian_rejects_odd_and_nonskew():
         pfaffian(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         pfaffian(np.ones((4, 4)))
+    with pytest.raises(ValueError, match="even dimension"):
+        pfaffian_matchings(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="square matrix"):
+        require_skew(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="even dimension"):
+        canonical_symplectic(3)
 
 
 def test_require_skew_cleans_roundoff():

@@ -11,7 +11,7 @@ from ginlab._rng import stream, streams
 from ginlab.errors import UsageError
 from ginlab.group_integrals import integral_mc_grid
 from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
-from ginlab.linalg import real_schur
+from ginlab.linalg import Spectrum, real_schur
 from ginlab.sampler import (
     ENTRY_VARIANCE,
     DegenerateShiftError,
@@ -98,6 +98,16 @@ def test_sample_validates_spectrum():
     good = real_schur(m)
     with pytest.raises(ValueError):
         GinOESample(matrix=m + 1.0, spectrum=good)
+
+
+def test_spin_check_catches_a_forged_spectrum():
+    # the pair 0 +- i keeps the trace of diag(1, -1), so the sample is
+    # accepted, but no real eigenvalue lies below 0.5 while det(M - 0.5) < 0
+    forged = Spectrum(real_eigenvalues=np.empty(0), complex_pairs=np.array([[0.0, 1.0]]))
+    sample = GinOESample(matrix=np.diag([1.0, -1.0]), spectrum=forged)
+    assert spin(sample, 0.5, check=False) == 1
+    with pytest.raises(RuntimeError, match="spin mismatch"):
+        spin(sample, 0.5)
 
 
 def test_estimate_spin_moment_coincident_pair():
