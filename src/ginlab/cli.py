@@ -72,6 +72,14 @@ def _max_check(name: str, measured, tolerance: float) -> Check:
     return Check(name, worst, tolerance, worst < tolerance)
 
 
+def _zscore(estimate: float, closed: float, stderr: float) -> float:
+    """|estimate - closed| / stderr; draws that never varied (stderr 0)
+    pass only on an exact match, with z = 0, and otherwise get z = inf."""
+    if stderr > 0:
+        return abs(estimate - closed) / stderr
+    return 0.0 if estimate == closed else float("inf")
+
+
 def _fmt(v):
     if isinstance(v, float):
         return format(v, ".17g")
@@ -233,7 +241,7 @@ def run_mc_spins(cfg):
     ests = estimate_spin_moments(cfg["n"], [pts], cfg["samples"], cfg["seed"])
     est = ests[0]
     closed = kernel.spin_correlation(pts)
-    z = abs(est.mean - closed) / est.stderr if est.stderr else 0.0
+    z = _zscore(est.mean, closed, est.stderr)
     columns = ("points", "mean", "stderr", "closed_form", "zscore")
     rows = [(";".join(_fmt(p) for p in pts), est.mean, est.stderr, closed, z)]
     checks = [Check("spin_moment_within_3_stderr", z, 3.0, z < 3.0)]
@@ -267,7 +275,7 @@ def run_mc_density(cfg):
             )
             est = dens.values[i, j]
             se = dens.stderr[i, j]
-            z = abs(est - closed) / se if se > 0 else 0.0
+            z = _zscore(est, closed, se)
             rows.append((*dens.intervals[i], *dens.intervals[j], est, se, closed, z))
     checks = [_max_check("signed_density_within_3_stderr", [r[-1] for r in rows], 3.0)]
     return columns, rows, checks
@@ -371,6 +379,8 @@ def run_stationary_phase(cfg):
 
 def run_heat_check(cfg):
     pts = (-0.35, 0.55) if cfg["points"] is None else cfg["points"]
+    if len(pts) != 2:  # integral_form is the two-point integral
+        raise UsageError(f"heat-check needs 2 points, got {len(pts)}")
     if len(set(pts)) < len(pts):
         raise UsageError("points must be distinct")
     ts = (0.1, 0.05, 0.025) if cfg["t_grid"] is None else cfg["t_grid"]

@@ -23,13 +23,13 @@ estimates are bit-reproducible for any worker partition on block
 boundaries.  For two points the integrand is constant over the group, and
 the integral is computed in closed form.
 
-The two-point determinant moment E_n[det(M - x1) det(M - x2)] of the
-sampler's duality check is also here, as an exact finite sum.
+The exact two-point determinant moment E_n[det(M - x1) det(M - x2)], the
+oracle for the Monte Carlo moment, is here too; its integer sum is in
+:mod:`.sampler`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from ._rng import stream
 from .errors import UsageError, point_array, positive_time
 from .pfaffian import canonical_symplectic, pfaffian
-from .sampler import Estimate, _check_samples, _estimate
+from .sampler import Estimate, _check_samples, _estimate, _moment_numerator
 
 HAAR_BLOCK = 4096
 UNITARITY_TOL = 1e-12
@@ -291,16 +291,13 @@ def charpoly_moment_quadrature(n: int, x1: float, x2: float) -> float:
     Exp(1) under the weight, so E[(|z|^2/2)^k] = k!/2^k and the binomial
     expansion gives
 
-        sum_{k=0}^{n} C(n, k) (x1*x2)^(n-k) k! / 2^k.
+        sum_{k=0}^{n} C(n, k) (x1*x2)^(n-k) k! / 2^k = (n!/2^n) e_n(2 x1 x2).
 
-    With x1*x2 = a/b exactly (b a power of two) every term is an integer
-    over the common denominator (2b)^n, so the sum is formed in integers
-    and rounded once: the result is the correctly rounded moment at the
-    double x1*x2, even where the terms cancel.
+    :func:`.sampler._moment_numerator` forms it in integers and rounds
+    once: the correctly rounded moment at the double x1*x2.
     """
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     x1, x2 = point_array((x1, x2))
-    a, b = float(x1 * x2).as_integer_ratio()
-    total = sum(math.perm(n, k) * a ** (n - k) * b**k * 2 ** (n - k) for k in range(n + 1))
+    total, b = _moment_numerator(n, x1, x2)
     return total / (2 * b) ** n

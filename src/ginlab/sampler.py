@@ -32,6 +32,7 @@ used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -366,11 +367,14 @@ def expected_real_count(n: int) -> float:
     return float(0.5 + np.sqrt(2.0) * hyp2f1(1.0, -0.5, n, 0.5) / beta(n, 0.5))
 
 
-def sphere_area(m: int) -> float:
-    """Surface area of the unit sphere in R**(m+1): 2 pi**((m+1)/2) / Gamma((m+1)/2)."""
-    from scipy.special import gamma
-
-    return float(2.0 * np.pi ** ((m + 1) / 2.0) / gamma((m + 1) / 2.0))
+def _moment_numerator(m: int, x1: float, x2: float) -> tuple:
+    """(N, b) with x1*x2 = a/b exactly, b a power of two, and
+    N = sum_{k<=m} perm(m, k) a^(m-k) b^k 2^(m-k): then E_m[det(M - x1)
+    det(M - x2)] = N / (2b)^m and e_m(2 x1 x2) = N / (m! b^m), each a
+    correctly rounded quotient of integers even where the terms cancel.
+    """
+    a, b = float(x1 * x2).as_integer_ratio()
+    return sum(math.perm(m, k) * a ** (m - k) * b**k * 2 ** (m - k) for k in range(m + 1)), b
 
 
 @dataclass(frozen=True)
@@ -381,13 +385,11 @@ class DualityReport:
     lhs: float
     lhs_stderr: float
     rhs: float
-    rhs_stderr: float
     ratio: float
     ratio_stderr: float
     n: int
     n_samples: int
     seed: int
-    moment_method: str
 
 
 def duality_check(
@@ -401,31 +403,35 @@ def duality_check(
 
     LHS: the (0, 1) cell of the binned signed density around the two points.
     RHS: V(x) / 16 * prod_{k=1,2} |S_{n-k}| pi**(-(n-k)/2) exp(-x_k**2)
-         times E_{n-2}[det(M - x_1) det(M - x_2)], the latter either
-         exactly, by the finite sum of
-         :func:`.group_integrals.charpoly_moment_quadrature` ("quadrature"),
-         or by Monte Carlo ("mc").
+         times E_{n-2}[det(M - x_1) det(M - x_2)] = ((n-2)!/2^(n-2))
+         e_{n-2}(2 x1 x2), |S_m| the unit sphere area in R**(m+1).  The
+         duplication formula cancels every Gamma function and factorial:
+
+             RHS = (sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2),
+
+         with e_m(z) = sum_{j<=m} z^j / j!: -(pi/4) times the finite-n signed
+         pair density.  e_{n-2} is one correctly rounded quotient of
+         integers, computed before any draw.
 
     The bins are DUALITY_HALFWIDTH either side of each point.  The ratio
     should not depend on the configuration; the absolute constant is
     reported, not asserted.  Raises if the LHS is below DUALITY_MIN_SNR
-    standard errors, with a suggested sample count.  The exact moment is
-    computed before any draw, so a moment beyond the double range fails at
-    once.
+    standard errors, with a suggested sample count.  ``moment`` accepts
+    only "quadrature".
     """
     pts = np.sort(point_array(points))
     if len(pts) != 2 or not pts[1] - pts[0] >= 2 * DUALITY_HALFWIDTH:
         raise UsageError("need two points separated by at least the bin width")
     if n <= 2:
         raise UsageError("matrix size must exceed the number of points")
-    if moment not in ("quadrature", "mc"):
+    # kept with its one value because the benchmark's duality workload passes it
+    if moment != "quadrature":
         raise UsageError(f"unknown moment method {moment!r}")
     _check_samples(samples)
-    if moment == "quadrature":
-        from .group_integrals import charpoly_moment_quadrature
-
-        mom = charpoly_moment_quadrature(n - 2, pts[0], pts[1])
-        mom_se = 0.0
+    m = n - 2
+    total, b = _moment_numerator(m, pts[0], pts[1])
+    e_m = total / (math.factorial(m) * b**m)
+    rhs = float(np.sqrt(np.pi) / 4.0 * (pts[1] - pts[0]) * np.exp(-pts[0] ** 2 - pts[1] ** 2) * e_m)
     bins = np.array([[pts[0] - DUALITY_HALFWIDTH, pts[0] + DUALITY_HALFWIDTH],
                      [pts[1] - DUALITY_HALFWIDTH, pts[1] + DUALITY_HALFWIDTH]])
     density = estimate_signed_density(n, bins, 2, samples, seed)
@@ -437,31 +443,15 @@ def duality_check(
             f"signed-density estimate too noisy ({lhs:.3e} +- {lhs_se:.3e}); "
             f"roughly {need} samples required"
         )
-    prefactor = (
-        (pts[1] - pts[0])
-        / 16.0
-        * np.prod([sphere_area(n - k) * np.pi ** (-(n - k) / 2.0) for k in (1, 2)])
-        * np.exp(-pts[0] ** 2 - pts[1] ** 2)
-    )
-    if moment == "mc":
-        est = estimate_charpoly_moment(n - 2, pts, samples, seed + 1)
-        mom, mom_se = est.mean, est.stderr
-    rhs = prefactor * mom
-    rhs_se = abs(prefactor) * mom_se
     ratio = lhs / rhs
-    ratio_se = abs(ratio) * np.sqrt(
-        (lhs_se / lhs) ** 2 + ((rhs_se / rhs) ** 2 if rhs_se else 0.0)
-    )
     return DualityReport(
         points=tuple(pts),
         lhs=lhs,
         lhs_stderr=lhs_se,
-        rhs=float(rhs),
-        rhs_stderr=float(rhs_se),
-        ratio=float(ratio),
-        ratio_stderr=float(ratio_se),
+        rhs=rhs,
+        ratio=ratio,
+        ratio_stderr=abs(ratio) * abs(lhs_se / lhs),
         n=n,
         n_samples=samples,
         seed=seed,
-        moment_method=moment,
     )

@@ -275,6 +275,20 @@ def test_failed_check_exits_1_and_still_writes(tmp_path, capsys, monkeypatch):
     assert [(c["name"], c["passed"]) for c in checks] == [("spin_moment_within_3_stderr", False)]
 
 
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        # both points lie above every eigenvalue: the spin product is 1 on each draw, vs 0.157
+        (["mc-spins", "--n", "10", "--samples", "200", "--points=8,9"], "spin_moment_within_3_stderr"),
+        # no eigenvalue in either bin: the estimate is 0 on each draw, vs -0.173
+        (["mc-density", "--n", "4", "--samples", "200", "--bins=5,6,7"], "signed_density_within_3_stderr"),
+    ],
+)
+def test_zero_stderr_passes_only_an_exact_match(tmp_path, capsys, argv, check):
+    assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"FAIL {check}: measured inf" in capsys.readouterr().out
+
+
 def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-campaign"])
@@ -295,6 +309,7 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["heat-check", "--t-grid", "0.1"],
         ["heat-check", "--t-grid", "0.1,0.1"],
         ["heat-check", "--points", "0.1,0.1"],
+        ["heat-check", "--points=0.1,0.5,0.9,1.3"],
         # non-finite points and times
         ["lemma1", "--points", "nan,0.5"],
         ["mc-density", "--bins=nan,0,0.5,1"],

@@ -127,6 +127,7 @@ PARAMETER_TAKERS = [
     ("sampler.sample_ginoe-n-0", lambda: sampler.sample_ginoe(0, np.random.default_rng(1))),
     ("sampler.duality_check-points-too-close", lambda: sampler.duality_check(10, (0.1, 0.2), 100, 1)),
     ("sampler.duality_check-moment-unknown", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="x")),
+    ("sampler.duality_check-moment-mc", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="mc")),
     ("group_integrals.integral_mc_grid-mixed-sizes",
      lambda: gi.integral_mc_grid([(0.1, 0.5), (-0.9, -0.3, 0.3, 0.9)], [1.0], 9, 1)),
     ("stationary_phase.find_max_matching-14-points", lambda: sp.find_max_matching(np.arange(14.0))),

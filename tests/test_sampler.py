@@ -1,6 +1,9 @@
 import hashlib
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +12,7 @@ from scipy.special import erfc
 
 from ginlab._rng import stream, streams
 from ginlab.errors import UsageError
-from ginlab.group_integrals import integral_mc_grid
+from ginlab.group_integrals import charpoly_moment_quadrature, integral_mc_grid, vandermonde
 from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
 from ginlab.linalg import Spectrum, real_schur
 from ginlab.sampler import (
@@ -19,6 +22,7 @@ from ginlab.sampler import (
     _draw,
     _draw_streams,
     _fill_draws,
+    _moment_numerator,
     _shifted_slogdets,
     _spin_table,
     _spins,
@@ -224,8 +228,6 @@ def test_charpoly_moment_n1():
 
 
 def test_charpoly_moment_vs_quadrature_n2():
-    from ginlab.group_integrals import charpoly_moment_quadrature
-
     est = estimate_charpoly_moment(2, (-0.3, 0.4), 4000, seed=18)
     oracle = charpoly_moment_quadrature(2, -0.3, 0.4)
     assert abs(est.mean - oracle) < 3 * est.stderr
@@ -233,8 +235,6 @@ def test_charpoly_moment_vs_quadrature_n2():
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_charpoly_moment_vs_quadrature(n):
-    from ginlab.group_integrals import charpoly_moment_quadrature
-
     est = estimate_charpoly_moment(n, (-0.4, 0.4), 3000, seed=19 + n)
     oracle = charpoly_moment_quadrature(n, -0.4, 0.4)
     assert abs(est.mean - oracle) < 3 * est.stderr
@@ -303,20 +303,51 @@ def test_duality_ratio_is_configuration_independent():
 
 
 def test_duality_check_computes_the_exact_moment_before_drawing(monkeypatch):
-    # at n = 200 the unnormalized moment is beyond the double range; that
-    # must fail before the draws, not after them
+    class Sentinel(Exception):
+        pass
+
     def refuse(*args):
         raise AssertionError("drew before computing the exact moment")
 
+    def sentinel(*args):
+        raise Sentinel
+
     monkeypatch.setattr("ginlab.sampler.streams", refuse)
-    with pytest.raises(OverflowError):
-        duality_check(200, (-0.4, 0.4), 4000, 1)
+    monkeypatch.setattr("ginlab.sampler._moment_numerator", sentinel)
+    with pytest.raises(Sentinel):
+        duality_check(10, (-0.4, 0.4), 4000, 1)
 
 
-def test_duality_mc_moment_mode():
-    r = duality_check(10, (-0.4, 0.4), 12000, seed=33, moment="mc")
-    assert np.isfinite(r.ratio)
-    assert r.rhs_stderr > 0
+DUALITY_CONFIGS = [(-0.4, 0.4), (-0.2, 0.6), (0.1, 0.8), (0.9, 1.7), (-1.3, 2.2)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10, 16, 40, 100, 200])
+def test_duality_rhs_is_within_4_ulp_of_mpmath(monkeypatch, n):
+    # a stub density stands in for the draws; at n = 200 the unnormalized
+    # moment E_{n-2} is beyond the double range, and the RHS is not
+    stub = SimpleNamespace(values=np.full((2, 2), -0.2), stderr=np.full((2, 2), 0.01))
+    monkeypatch.setattr("ginlab.sampler.estimate_signed_density", lambda *args: stub)
+    with mpmath.workprec(200):
+        for x1, x2 in DUALITY_CONFIGS:
+            rhs = duality_check(n, (x1, x2), 4000, 1).rhs
+            a, b = mpmath.mpf(x1), mpmath.mpf(x2)
+            e = mpmath.fsum((2 * a * b) ** j / mpmath.factorial(j) for j in range(n - 1))
+            exact = mpmath.sqrt(mpmath.pi) / 4 * (b - a) * mpmath.exp(-a * a - b * b) * e
+            assert math.isfinite(rhs), (x1, x2)
+            assert abs(mpmath.mpf(rhs) - exact) <= 4 * math.ulp(rhs), (x1, x2)
+
+
+def test_duality_sum_is_the_exponential_partial_sum():
+    # e_m(2 x1 x2) = E_m 2^m / m! in exact rationals at the double x1*x2,
+    # against the integer sum the exact moment shares
+    for m in range(1, 41):
+        for x1, x2 in DUALITY_CONFIGS:
+            p = Fraction(x1 * x2)
+            e_m = sum((2 * p) ** j / math.factorial(j) for j in range(m + 1))
+            total, b = _moment_numerator(m, x1, x2)
+            assert Fraction(total, math.factorial(m) * b**m) == e_m, (m, x1, x2)
+            moment = e_m * math.factorial(m) / 2**m
+            assert charpoly_moment_quadrature(m, x1, x2) == float(moment), (m, x1, x2)
 
 
 def test_duality_insufficient_samples():
@@ -326,8 +357,6 @@ def test_duality_insufficient_samples():
 
 def test_duality_formula_antisymmetry():
     # the formula side flips sign with the Vandermonde when points swap
-    from ginlab.group_integrals import charpoly_moment_quadrature, vandermonde
-
     assert vandermonde((0.6, -0.2)) == -vandermonde((-0.2, 0.6))
     assert charpoly_moment_quadrature(4, -0.2, 0.6) == pytest.approx(
         charpoly_moment_quadrature(4, 0.6, -0.2), rel=1e-12
