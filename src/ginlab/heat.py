@@ -13,10 +13,13 @@ which solves the flat heat equation (d/dt - (1/8) Laplacian) u = 0 in the k
 position variables and collapses, as t -> 0+, onto derivatives of delta
 functions on the pair diagonals.  Finite differences certify the PDE at a
 measured order of accuracy; quadrature against test functions certifies the
-initial condition as a distributional pairing.  All test functions share one
-pass over the quadrature grid, walked in blocks of rows so that no
-whole-grid temporary is formed; the pairings are bit for bit those of the
-whole grid at once.
+initial condition as a distributional pairing.  All test functions and all
+times share one pass over the quadrature grid, walked in blocks of rows
+through buffers allocated once per call, so that no whole-grid temporary is
+formed: each block forms its separations' time-independent factors once and
+finishes the kernel formula once per time.  Every step rounds as the
+one-function, whole-grid ``np.trapezoid`` of ``pair_density_t`` does, so the
+pairings are bit for bit those of the whole grid at once.
 
 Also here: Gaussian solutions built from orthogonal projectors, including
 the projector (on Hermitian matrices, inner product Tr AB) induced by a
@@ -34,8 +37,14 @@ from .kernel import moment_constant
 from .pfaffian import pfaffian
 
 PROJECTOR_TOL = 1e-12
-#: grid rows per block of the initial-condition pairing (about 0.4 MB per temporary)
-_ROW_BLOCK = 64
+#: grid rows per block of the initial-condition pairing.  Each of its buffers
+#: holds 16 rows of the 801-point default grid (0.1 MB), allocated once per
+#: call; 16 rows paired faster than 8, 32 or 64 on a 2-vCPU host.
+_ROW_BLOCK = 16
+#: np.exp underflows to exactly +0.0 below about -745.13, and takes 15 to 100
+#: times longer per element on arguments near and past that point; the
+#: kernel stores the +0.0 itself below this margin instead of calling it.
+_EXP_ZERO_BELOW = -750.0
 
 
 def heat_kernel(t: float, x):
@@ -50,8 +59,26 @@ def heat_kernel_d1(t: float, x):
     """d/dx of heat_kernel."""
     t = positive_time(t)
     x = np.asarray(x, dtype=float)
-    out = (-4.0 * x / t) * np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
+    out = _kernel_d1(-4.0 * x, -2.0 * x * x, t, np.empty_like(x), np.empty_like(x))
     return float(out) if out.ndim == 0 else out
+
+
+def _kernel_d1(lin, quad, t: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """heat_kernel_d1(t, x) written into ``out``, given lin = -4.0 * x and quad = -2.0 * x * x.
+
+    The one copy of the formula (-4 x / t) * exp(-2 x^2 / t) / sqrt(pi t / 2):
+    its steps, read left to right, each rounded once, with ``work`` (the
+    shape of ``out``) as scratch; exp is skipped, for the +0.0 it returns,
+    below ``_EXP_ZERO_BELOW``.  Separations paired at several times form
+    ``lin`` and ``quad`` once and call this once per time.
+    """
+    np.divide(lin, t, out=out)
+    np.divide(quad, t, out=work)
+    np.exp(work, out=work, where=work >= _EXP_ZERO_BELOW)
+    np.maximum(work, 0.0, out=work)  # the skipped, negative entries become exp's +0.0
+    out *= work
+    out /= np.sqrt(np.pi * t / 2.0)
+    return out
 
 
 def signed_density_t(points, t: float) -> float:
@@ -226,13 +253,21 @@ def initial_condition_check(
     are distinct; raises ``ValueError`` for a test function that does not
     decay.
 
-    All functions share one pass over the grid: each block of
-    ``_ROW_BLOCK`` rows forms its separations and the functions' weights
-    once, evaluates ``pair_density_t`` once per time, and stores each
-    function's row integrals; the outer trapezoid runs over the stored rows.
-    This is bit for bit the whole-grid pairing, since every elementwise
-    operation sees only its own element and ``axis=1`` reduces each row the
-    same way, whatever the number of rows.
+    All functions and times share one pass over the grid, in blocks of
+    ``_ROW_BLOCK`` rows, through buffers allocated once per call.  Each block
+    evaluates the functions on the broadcast coordinates ``xs[block, None]``
+    and ``xs[None, :]``, and forms the separations delta with the
+    time-independent factors -4 delta and (-2 delta) delta once.  Each time
+    T = 2t then finishes ``pair_density_t`` = c * ``heat_kernel_d1(T, delta)``
+    through the kernel's one helper: both factors divided by T, exp,
+    product, division by sqrt(pi T / 2), times c.  For all functions at once
+    it forms ``np.trapezoid``'s (step * (y[1:] + y[:-1])) / 2.0 in place and
+    sums each row into the stored row integrals; the outer trapezoid runs
+    over the stored rows.  This is bit for bit the whole-grid pairing of one
+    function at a time: each elementwise step is the same IEEE operation on
+    the same operands (the halving is a multiplication by 0.5, which rounds
+    the same exact value), and the row sums reduce each contiguous row the
+    same way, whatever the number of rows or functions.
     """
     half_range = _checked_range(half_range, grid)
     test_fns = tuple(test_fns)
@@ -253,16 +288,32 @@ def initial_condition_check(
     targets = [delta_prime_target(test_fn) for test_fn in test_fns]
     xs = np.linspace(-half_range, half_range, grid)
     step = xs[1] - xs[0]
+    c = moment_constant(2) / 2.0
+    block_rows = min(_ROW_BLOCK, grid)
+    kernel_buf = np.empty((4, block_rows, grid))
+    fn_buf = np.empty((2, len(test_fns), block_rows, grid))
+    sums_buf = np.empty((len(test_fns), block_rows, grid - 1))
     row_integrals = np.empty((len(test_fns), len(ts), grid))
-    for start in range(0, grid, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        x1, x2 = np.meshgrid(xs[block], xs, indexing="ij")
-        delta = x1 - x2
-        weights = [test_fn(x1, x2) for test_fn in test_fns]
+    for start in range(0, grid, block_rows):
+        block = slice(start, start + block_rows)
+        x1, x2 = xs[block, None], xs[None, :]
+        n = len(x1)  # the last block may be short
+        lin, quad, dens, work = kernel_buf[:, :n]
+        weights, terms = fn_buf[:, :, :n]
+        pair_sums = sums_buf[:, :n]
+        for weight, test_fn in zip(weights, test_fns):
+            weight[...] = test_fn(x1, x2)
+        delta = np.subtract(x1, x2, out=quad)
+        np.multiply(-4.0, delta, out=lin)
+        np.multiply(np.multiply(-2.0, delta, out=work), delta, out=quad)
         for j, t in enumerate(ts):
-            dens = pair_density_t(delta, t)
-            for i, weight in enumerate(weights):
-                row_integrals[i, j, block] = np.trapezoid(dens * weight, dx=step, axis=1)
+            _kernel_d1(lin, quad, 2.0 * t, dens, work)
+            dens *= c
+            np.multiply(dens, weights, out=terms)
+            np.add(terms[..., 1:], terms[..., :-1], out=pair_sums)
+            pair_sums *= step
+            pair_sums *= 0.5  # np.trapezoid's / 2.0: the same exact value, rounded once
+            np.add.reduce(pair_sums, axis=-1, out=row_integrals[:, j, block])
     ratio = ts[1] / ts[0]
     reports = []
     for per_time, target in zip(row_integrals, targets):

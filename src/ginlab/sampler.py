@@ -7,8 +7,17 @@ Conventions
   in the matrix units this normalization induces.
 * Under this normalization the bulk-limit closed forms of :mod:`.kernel`
   apply at unit spacing with no rescaling: the bulk dilation is the
-  identity.  ``test_scaling_convention_protocol`` checks it against the
-  candidate dilations {1/sqrt(2), 1, sqrt(2)} at several matrix sizes.
+  identity.  The moment E_m[det(M - x1) det(M - x2)] = (m!/2**m) e_m(2 x1 x2),
+  with e_m(z) = sum_{j<=m} z**j / j!, gives the finite-n signed pair density
+
+      rho_2^n(x1, x2) = pi**-0.5 (x1 - x2) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2),
+
+  of which :func:`duality_check`'s right-hand side is -(pi/4) times.  As
+  n -> infinity, e_{n-2}(2 x1 x2) -> exp(2 x1 x2) at the same coordinates,
+  so rho_2^n -> pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2): the n = infinity form
+  is reached with x1, x2 unscaled, and no dilation x -> s x enters.
+  ``test_scaling_convention_protocol`` checks it against the candidate
+  dilations {1/sqrt(2), 1, sqrt(2)} at several matrix sizes.
 * Every estimator draws sample ``i`` from the RNG stream keyed by
   (seed, i) and reduces in index order, so results are bit-reproducible
   for any worker partition of the index range.
@@ -416,8 +425,8 @@ def duality_check(
     The bins are DUALITY_HALFWIDTH either side of each point.  The ratio
     should not depend on the configuration; the absolute constant is
     reported, not asserted.  Raises if the LHS is below DUALITY_MIN_SNR
-    standard errors, with a suggested sample count.  ``moment`` accepts
-    only "quadrature".
+    standard errors, with a suggested sample count, or is exactly 0.
+    ``moment`` accepts only "quadrature".
     """
     pts = np.sort(point_array(points))
     if len(pts) != 2 or not pts[1] - pts[0] >= 2 * DUALITY_HALFWIDTH:
@@ -437,8 +446,12 @@ def duality_check(
     density = estimate_signed_density(n, bins, 2, samples, seed)
     lhs = float(density.values[0, 1])
     lhs_se = float(density.stderr[0, 1])
-    if lhs_se > 0 and abs(lhs) < DUALITY_MIN_SNR * lhs_se:
-        need = int(np.ceil(samples * (DUALITY_MIN_SNR * lhs_se / max(abs(lhs), 1e-300)) ** 2))
+    if lhs == 0.0:
+        # lhs / rhs would be a ratio of 0 with no error bar to scale a sample count
+        why = "no draw put signed weight in the bins" if lhs_se == 0.0 else "the signed weights cancel to 0"
+        raise RuntimeError(f"signed-density estimate too noisy: {why} in {samples} samples")
+    if abs(lhs) < DUALITY_MIN_SNR * lhs_se:
+        need = int(np.ceil(samples * (DUALITY_MIN_SNR * lhs_se / abs(lhs)) ** 2))
         raise RuntimeError(
             f"signed-density estimate too noisy ({lhs:.3e} +- {lhs_se:.3e}); "
             f"roughly {need} samples required"

@@ -237,6 +237,22 @@ def test_lemma1_campaign(tmp_path, capsys):
     assert "PASS duality_ratio_constant" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        # no eigenvalue pair lands in bins this far out: 0 +- 0
+        (["--samples", "200", "--points=8,9"], "no draw put signed weight in the bins"),
+        # one +1 and one -1 cell weight: 0 with a positive stderr
+        (["--samples", "30", "--seed", "6", "--points=-0.4,0.4"], "the signed weights cancel to 0"),
+    ],
+)
+def test_lemma1_refuses_a_zero_signed_density(tmp_path, capsys, argv, why):
+    # these exited 1 with "float division by zero" and an overflow errno
+    out = tmp_path / "duality.csv"
+    assert run_cli(["lemma1", "--n", "10", *argv, "--out", str(out)]) == 1
+    assert f"numerical failure: signed-density estimate too noisy: {why}" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "duality.csv"
     code = run_cli(

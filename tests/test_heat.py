@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,8 +220,15 @@ def _bump(x1, x2):
     return np.exp(-8.0 * (x1 + 2.0) ** 2 - 8.0 * (x2 - 2.0) ** 2)
 
 
-def _no_density(delta, t):
-    raise AssertionError("pair_density_t was called")
+def _no_density(*args):
+    raise AssertionError("the pair density was evaluated")
+
+
+@pytest.fixture
+def no_density(monkeypatch):
+    # the pairing pass reaches the kernel formula through its private helper
+    for name in ("pair_density_t", "_kernel_d1"):
+        monkeypatch.setattr(heat, name, _no_density)
 
 
 def test_initial_condition_odd_function():
@@ -249,25 +257,22 @@ def test_initial_condition_rejects_non_decaying():
         initial_condition_check((lambda x1, x2: x2 - x1,), (0.1, 0.05))
 
 
-def test_non_decaying_second_function_raises_before_any_density(monkeypatch):
-    monkeypatch.setattr(heat, "pair_density_t", _no_density)
+def test_non_decaying_second_function_raises_before_any_density(no_density):
     with pytest.raises(ValueError, match="must decay"):
         initial_condition_check((_odd_fn, lambda x1, x2: x2 - x1), (0.1, 0.05))
 
 
 @pytest.mark.parametrize("t_sequence", [(0.1, 0.1), (0.1, 0.2, 0.1)])
-def test_equal_smallest_times_raise_before_any_density(monkeypatch, t_sequence):
+def test_equal_smallest_times_raise_before_any_density(no_density, t_sequence):
     # the Richardson step divides by ts[1] / ts[0] - 1
-    monkeypatch.setattr(heat, "pair_density_t", _no_density)
     with pytest.raises(UsageError, match="distinct"):
         initial_condition_check((_odd_fn,), t_sequence)
 
 
 @pytest.mark.parametrize("kwargs", [{"grid": 1}, {"grid": 0}, {"half_range": float("nan")}, {"half_range": 0.0}])
-def test_bad_grid_or_range_raises_before_any_density(monkeypatch, kwargs):
+def test_bad_grid_or_range_raises_before_any_density(no_density, kwargs):
     # grid < 2 had no step xs[1] - xs[0]; a NaN range paired to NaN, and a
     # range <= 0 was reported as a test function that does not decay
-    monkeypatch.setattr(heat, "pair_density_t", _no_density)
     with pytest.raises(UsageError):
         initial_condition_check((_odd_fn,), (0.1, 0.05), **kwargs)
 
@@ -300,20 +305,48 @@ def _whole_grid_pairing(test_fn, t_sequence, half_range, grid):
 
 @pytest.mark.parametrize(
     "half_range, grid",
-    # the default grid, block boundaries, less than one block, a short last block
-    [(6.0, 801), (6.0, 65), (6.0, 129), (6.0, 33), (6.0, 97), (4.0, 801)],
+    # the default grid at two ranges, and grids around the earlier 64-row blocks
+    [(6.0, 801), (6.0, 65), (6.0, 129), (6.0, 33), (6.0, 97), (4.0, 801)]
+    # one row short of a block, one row over, and one row over two blocks
+    + [(5.0, heat._ROW_BLOCK - 1), (5.0, heat._ROW_BLOCK + 1), (5.0, 2 * heat._ROW_BLOCK + 1)],
 )
 def test_row_blocks_match_the_whole_grid_bit_for_bit(half_range, grid):
     fns = (_odd_fn, _even_fn, _bump)
-    t_sequence = (0.1, 0.025, 0.05)
-    reports = initial_condition_check(fns, t_sequence, half_range=half_range, grid=grid)
-    assert len(reports) == len(fns)
-    for fn, rep in zip(fns, reports):
-        ts, pairings, extrapolated, target = _whole_grid_pairing(fn, t_sequence, half_range, grid)
-        assert [r.t for r in rep.rows] == ts
-        assert [r.pairing.hex() for r in rep.rows] == [p.hex() for p in pairings]
-        assert rep.extrapolated.hex() == extrapolated.hex()
-        assert rep.target.hex() == target.hex()
+    # the second, unsorted sequence reuses each block's factors across four times
+    for t_sequence in ((0.1, 0.025, 0.05), (0.07, 0.013, 0.11, 0.03)):
+        reports = initial_condition_check(fns, t_sequence, half_range=half_range, grid=grid)
+        assert len(reports) == len(fns)
+        for fn, rep in zip(fns, reports):
+            ts, pairings, extrapolated, target = _whole_grid_pairing(fn, t_sequence, half_range, grid)
+            assert [r.t for r in rep.rows] == ts
+            assert [r.pairing.hex() for r in rep.rows] == [p.hex() for p in pairings]
+            assert rep.extrapolated.hex() == extrapolated.hex()
+            assert rep.target.hex() == target.hex()
+
+
+def test_kernel_helper_is_the_one_line_formula_bit_for_bit():
+    # separations out to 12 take exp through normal, subnormal and underflowing
+    # values, where the helper stores +0.0 instead of calling it
+    x = np.linspace(-12.0, 12.0, 4001)
+    for t in (0.05, 0.1, 0.2, 1.0):
+        formula = (-4.0 * x / t) * np.exp(-2.0 * x * x / t) / np.sqrt(np.pi * t / 2.0)
+        assert heat_kernel_d1(t, x).tobytes() == formula.tobytes()
+    below = np.exp([heat._EXP_ZERO_BELOW, -800.0, -1e300, -np.inf])
+    assert below.tobytes() == np.zeros(4).tobytes()
+
+
+def test_default_pairing_forms_no_whole_grid_temporary():
+    # the pass works in row blocks: its peak allocation stays below one
+    # float64 array over the default 801 x 801 grid (5.13 MB)
+    fns, t_sequence = (_odd_fn, _even_fn), (0.1, 0.05, 0.025)
+    initial_condition_check(fns, t_sequence)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        initial_condition_check(fns, t_sequence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 801 * 801 * 8
 
 
 def test_delta_prime_target_sign_convention():
