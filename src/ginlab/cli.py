@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +35,9 @@ from .group_integrals import (
 )
 from .pfaffian import pfaffian, pfaffian_matchings
 from .sampler import (
+    DUALITY_HALFWIDTH,
     ENTRY_VARIANCE,
+    _duality_rhs,
     duality_check,
     estimate_signed_density,
     estimate_spin_moments,
@@ -120,7 +123,6 @@ def write_manifest(path: str, config: dict, checks, wall_time: float) -> None:
         "conventions": {
             "entry_variance": ENTRY_VARIANCE,
             "bulk_dilation": 1.0,
-            "density_calibration": kernel.DENSITY_CALIBRATION,
         },
         "checks": [
             {
@@ -152,7 +154,10 @@ def _parse_bins(text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"bin spec must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise UsageError(f"could not parse bin spec {text!r}") from exc
         if count < 1 or hi <= lo:
             raise UsageError(f"degenerate bin spec {text!r}")
         return np.linspace(lo, hi, count + 1)
@@ -248,16 +253,22 @@ def run_mc_spins(cfg):
     return columns, rows, checks
 
 
-def _bin_averaged_signed_density(lo1, hi1, lo2, hi2) -> float:
-    """The closed-form signed density averaged over a cell, by 5 x 5 Gauss-Legendre."""
+def _bin_average(f, lo1, hi1, lo2, hi2) -> float:
+    """f averaged over the cell [lo1, hi1] x [lo2, hi2] by 5 x 5 Gauss-Legendre;
+    ``f`` maps a column and a row of nodes to their values, added in row order."""
     u, w = np.polynomial.legendre.leggauss(5)
     x1 = 0.5 * (hi1 - lo1) * u + 0.5 * (hi1 + lo1)
     x2 = 0.5 * (hi2 - lo2) * u + 0.5 * (hi2 + lo2)
     total = 0.0
-    for a, wa in zip(x1, w):
-        for b, wb in zip(x2, w):
-            total += wa * wb * kernel.signed_density((a, b))
-    return total * 0.25
+    for term in (f(x1[:, None], x2[None, :]) * np.outer(w, w)).flat:
+        total += term
+    return float(total * 0.25)
+
+
+def _pair_density(x1, x2):
+    """pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2), the n = infinity signed pair density."""
+    d = x1 - x2
+    return kernel.moment_constant(2) / 2.0 * (d * np.exp(-d * d))
 
 
 def run_mc_density(cfg):
@@ -270,15 +281,28 @@ def run_mc_density(cfg):
     # on ordered products, so compare cells with interval_i left of interval_j
     for i in range(m):
         for j in range(i + 1, m):
-            closed = kernel.DENSITY_CALIBRATION * _bin_averaged_signed_density(
-                *dens.intervals[i], *dens.intervals[j]
-            )
+            closed = _bin_average(_pair_density, *dens.intervals[i], *dens.intervals[j])
             est = dens.values[i, j]
             se = dens.stderr[i, j]
             z = _zscore(est, closed, se)
             rows.append((*dens.intervals[i], *dens.intervals[j], est, se, closed, z))
     checks = [_max_check("signed_density_within_3_stderr", [r[-1] for r in rows], 3.0)]
     return columns, rows, checks
+
+
+def _duality_constant_z(reports) -> float:
+    """The pooled z of lemma1's ratios against -4/pi, sum_i z_i / sqrt(R) over R rows.
+
+    Row i's RHS is averaged over its two bins, the cell whose density its LHS
+    estimates: z_i = (LHS_i / RHS_i + 4/pi) |RHS_i| / (LHS_i's standard error).
+    """
+    zs = []
+    for r in reports:
+        (x1, x2), h = r.points, DUALITY_HALFWIDTH
+        rhs_at = np.vectorize(partial(_duality_rhs, r.n), otypes=[float])
+        rhs = _bin_average(rhs_at, x1 - h, x1 + h, x2 - h, x2 + h)
+        zs.append((r.lhs / rhs + 4.0 / np.pi) * abs(rhs) / r.lhs_stderr)
+    return float(sum(zs) / np.sqrt(len(zs)))
 
 
 def run_lemma1(cfg):
@@ -299,7 +323,11 @@ def run_lemma1(cfg):
         abs(a.ratio - b.ratio) / np.hypot(a.ratio_stderr, b.ratio_stderr)
         for a, b in combinations(reports, 2)
     ]
-    checks = [_max_check("duality_ratio_constant", zs, 3.0)]
+    pooled = _duality_constant_z(reports)
+    checks = [
+        _max_check("duality_ratio_constant", zs, 3.0),
+        Check("duality_ratio_is_minus_4_over_pi", pooled, 3.0, abs(pooled) < 3.0),
+    ]
     return columns, rows, checks
 
 

@@ -17,11 +17,11 @@ fit-then-verify protocol, never asserted.  ``exact_shape`` is oriented so
 that its ratio to the (manifestly positive) integral is positive: the
 upper-triangular entries carry (x_j - x_i), positive for ordered input.
 
-Monte Carlo draws use block-keyed RNG streams (seed, block index) with a
-fixed block size, and the per-draw values are reduced in index order, so
-estimates are bit-reproducible for any worker partition on block
-boundaries.  For two points the integrand is constant over the group, and
-the integral is computed in closed form.
+Monte Carlo draws come in blocks of HAAR_BLOCK unitaries, block b from the
+RNG stream keyed by (seed, b), and the per-draw values are reduced in index
+order: an estimate is fixed, bit for bit, by its seed and HAAR_BLOCK.  For
+two points the integrand is constant over the group, and the integral is
+computed in closed form.
 
 The exact two-point determinant moment E_n[det(M - x1) det(M - x2)], the
 oracle for the Monte Carlo moment, is here too; its integer sum is in
@@ -141,12 +141,14 @@ def _dual_gap_norms(re, im, x, scratch, out) -> None:
     np.sum(np.square(mag, out=mag), axis=(1, 2), out=out)
 
 
-def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLOCK):
+def integral_mc_grid(configs, ts, samples: int, seed: int):
     """I_t estimates on a (config, t) grid sharing one set of Haar draws.
 
     Sharing draws makes the fitted-constant comparison across the grid a
     paired comparison, and costs one QR sweep instead of one per grid node.
-    Returns a list of lists of Estimates, indexed [config][t].
+    Returns a list of lists of Estimates, indexed [config][t].  The draws
+    are keyed by blocks of HAAR_BLOCK unitaries, read at call time: block b
+    comes from stream(seed, b), so another block size draws other unitaries.
 
     Each block of unitaries is copied once into real and imaginary planes
     with the draw index last, so every product is one whole-array pass.
@@ -168,7 +170,7 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     ts = [positive_time(t) for t in ts]
     _check_samples(samples)
     tr_vals = np.empty((len(configs), samples))
-    width = min(block, samples)
+    width = min(HAAR_BLOCK, samples)
     planes = np.empty((2, k, k, width))
     scratch = (
         np.empty((2, k, k, width)),
@@ -179,7 +181,7 @@ def integral_mc_grid(configs, ts, samples: int, seed: int, block: int = HAAR_BLO
     done = 0
     b = 0
     while done < samples:
-        take = min(block, samples - done)
+        take = min(HAAR_BLOCK, samples - done)
         u = haar_unitaries(k, take, stream(seed, b))
         re, im = planes[..., :take]
         np.copyto(re, u.real.transpose(2, 1, 0))

@@ -13,13 +13,14 @@ which solves the flat heat equation (d/dt - (1/8) Laplacian) u = 0 in the k
 position variables and collapses, as t -> 0+, onto derivatives of delta
 functions on the pair diagonals.  Finite differences certify the PDE at a
 measured order of accuracy; quadrature against test functions certifies the
-initial condition as a distributional pairing.  All test functions and all
-times share one pass over the quadrature grid, walked in blocks of rows
-through buffers allocated once per call, so that no whole-grid temporary is
-formed: each block forms its separations' time-independent factors once and
-finishes the kernel formula once per time.  Every step rounds as the
-one-function, whole-grid ``np.trapezoid`` of ``pair_density_t`` does, so the
-pairings are bit for bit those of the whole grid at once.
+initial condition as a distributional pairing on a fixed grid, 801 x 801
+points over [-6, 6]^2.  All test functions and all times share one pass
+over that grid, walked in blocks of rows through buffers allocated once
+per call, so that no whole-grid temporary is formed: each block forms its
+separations' time-independent factors once and finishes the kernel formula
+once per time.  Every step rounds as the one-function, whole-grid
+``np.trapezoid`` of ``pair_density_t`` does, so the pairings are bit for bit
+those of the whole grid at once.
 
 Also here: Gaussian solutions built from orthogonal projectors, including
 the projector (on Hermitian matrices, inner product Tr AB) induced by a
@@ -37,9 +38,12 @@ from .kernel import moment_constant
 from .pfaffian import pfaffian
 
 PROJECTOR_TOL = 1e-12
+#: the pairing grid: _GRID points on each axis of [-_HALF_RANGE, _HALF_RANGE]
+_HALF_RANGE = 6.0
+_GRID = 801
 #: grid rows per block of the initial-condition pairing.  Each of its buffers
-#: holds 16 rows of the 801-point default grid (0.1 MB), allocated once per
-#: call; 16 rows paired faster than 8, 32 or 64 on a 2-vCPU host.
+#: holds 16 rows of the 801-point grid (0.1 MB), allocated once per call;
+#: 16 rows paired faster than 8, 32 or 64 on a 2-vCPU host.
 _ROW_BLOCK = 16
 #: np.exp underflows to exactly +0.0 below about -745.13, and takes 15 to 100
 #: times longer per element on arguments near and past that point; the
@@ -218,29 +222,17 @@ class InitialConditionReport:
         return abs(self.extrapolated - self.target)
 
 
-def _checked_range(half_range, grid: int) -> float:
-    """``half_range`` as a float, once ``grid`` is an integer >= 2 and the range finite and positive."""
-    if not isinstance(grid, (int, np.integer)) or grid < 2:
-        raise UsageError(f"grid must be an integer >= 2, got {grid!r}")
-    return _finite_positive(half_range, "half_range")
-
-
-def delta_prime_target(test_fn, half_range: float = 8.0, grid: int = 4001, h: float = 1e-5) -> float:
-    """-(C_2/2) * int d/du test_fn(v + u, v)|_{u=0} dv, the limiting pairing."""
-    h = _finite_positive(h, "step h")
-    half_range = _checked_range(half_range, grid)
-    v = np.linspace(-half_range, half_range, grid)
+def delta_prime_target(test_fn) -> float:
+    """-(C_2/2) * int d/du test_fn(v + u, v)|_{u=0} dv, the limiting pairing:
+    a central difference of step 1e-5, and the trapezoid rule on 4001 points over [-8, 8]."""
+    h = 1e-5
+    v = np.linspace(-8.0, 8.0, 4001)
     dphi = (test_fn(v + h, v) - test_fn(v - h, v)) / (2.0 * h)
     c = moment_constant(2) / 2.0
     return float(-c * np.trapezoid(dphi, dx=v[1] - v[0]))
 
 
-def initial_condition_check(
-    test_fns,
-    t_sequence,
-    half_range: float = 6.0,
-    grid: int = 801,
-) -> tuple:
+def initial_condition_check(test_fns, t_sequence) -> tuple:
     """Pairings of the two-point signed density against decaying test functions.
 
     Returns one :class:`InitialConditionReport` per function in ``test_fns``.
@@ -248,28 +240,29 @@ def initial_condition_check(
     pairing with the derivative-of-delta initial data on the diagonal; a
     report carries the pairing sequence, its Richardson extrapolation
     (assuming the O(t) rate) and the independently computed target.  Raises
-    :class:`UsageError`, before any grid work, unless ``grid`` is an integer
-    >= 2, ``half_range`` is finite and positive and the two smallest times
+    :class:`UsageError`, before any grid work, unless the two smallest times
     are distinct; raises ``ValueError`` for a test function that does not
     decay.
 
-    All functions and times share one pass over the grid, in blocks of
-    ``_ROW_BLOCK`` rows, through buffers allocated once per call.  Each block
-    evaluates the functions on the broadcast coordinates ``xs[block, None]``
-    and ``xs[None, :]``, and forms the separations delta with the
-    time-independent factors -4 delta and (-2 delta) delta once.  Each time
-    T = 2t then finishes ``pair_density_t`` = c * ``heat_kernel_d1(T, delta)``
-    through the kernel's one helper: both factors divided by T, exp,
-    product, division by sqrt(pi T / 2), times c.  For all functions at once
-    it forms ``np.trapezoid``'s (step * (y[1:] + y[:-1])) / 2.0 in place and
-    sums each row into the stored row integrals; the outer trapezoid runs
-    over the stored rows.  This is bit for bit the whole-grid pairing of one
+    The grid is fixed: ``_GRID`` = 801 points on each axis of [-6, 6]
+    (``_HALF_RANGE``), both read at call time.  All functions and times
+    share one pass over the grid, in blocks of ``_ROW_BLOCK`` rows, through
+    buffers allocated once per call.  Each block evaluates the functions on
+    the broadcast coordinates ``xs[block, None]`` and ``xs[None, :]``, and
+    forms the separations delta with the time-independent factors -4 delta
+    and (-2 delta) delta once.  Each time T = 2t then finishes
+    ``pair_density_t`` = c * ``heat_kernel_d1(T, delta)`` through the
+    kernel's one helper: both factors divided by T, exp, product, division
+    by sqrt(pi T / 2), times c.  For all functions at once it forms
+    ``np.trapezoid``'s (step * (y[1:] + y[:-1])) / 2.0 in place and sums each
+    row into the stored row integrals; the outer trapezoid runs over the
+    stored rows.  This is bit for bit the whole-grid pairing of one
     function at a time: each elementwise step is the same IEEE operation on
     the same operands (the halving is a multiplication by 0.5, which rounds
     the same exact value), and the row sums reduce each contiguous row the
     same way, whatever the number of rows or functions.
     """
-    half_range = _checked_range(half_range, grid)
+    half_range, grid = _HALF_RANGE, _GRID
     test_fns = tuple(test_fns)
     ts = sorted(positive_time(t) for t in t_sequence)
     if len(ts) < 2:

@@ -10,6 +10,17 @@ Also provided: the signed ("modified") k-point density, the spin-product
 moments it integrates to, and the normalization constant (4/pi)**(k/4)
 fixed by requiring coincident spin pairs to have unit moment.
 
+The signed density is a Pfaffian of the two-point one,
+rho_2(x1, x2) = pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2).  A Pfaffian of k/2
+pairs scales by c**(k/2) when every entry scales by c, and
+(4/pi)**(k/4) = 2**(k/2) * (pi**-0.5)**(k/2), so
+
+    signed_density(x) = 2**(k/2) * Pf[rho_2(x_i, x_j)].
+
+The density whose integrals give the spin moments, and which the Monte
+Carlo estimator measures, is Pf[rho_2(x_i, x_j)]: 2**(-k/2) times
+signed_density, 0.5 at k = 2 and 0.25 at k = 4.
+
 All functions are pure and thread-safe.  Positions are in the units of the
 exp(-Tr M M^T) matrix normalization; no rescaling is applied here.
 """
@@ -20,12 +31,6 @@ from .errors import UsageError, point_array
 from .pfaffian import pfaffian
 
 SQRT_PI = float(np.sqrt(np.pi))
-
-#: Half-line integrals of the signed density reproduce the spin moments for
-#: the density scaled by this factor (the Pfaffian display of signed_density
-#: carries the full (4/pi)**(k/4) normalization, which double counts each
-#: merged pair by 2; measured and pinned for k = 2).
-DENSITY_CALIBRATION = 0.5
 
 
 def gauss_tail(x):

@@ -401,6 +401,15 @@ class DualityReport:
     seed: int
 
 
+def _duality_rhs(n: int, x1: float, x2: float) -> float:
+    """(sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2), the right-hand
+    side of :func:`duality_check` at one pair of points."""
+    m = n - 2
+    total, b = _moment_numerator(m, x1, x2)
+    e_m = total / (math.factorial(m) * b**m)
+    return float(np.sqrt(np.pi) / 4.0 * (x2 - x1) * np.exp(-x1 ** 2 - x2 ** 2) * e_m)
+
+
 def duality_check(
     n: int,
     points,
@@ -423,9 +432,10 @@ def duality_check(
          integers, computed before any draw.
 
     The bins are DUALITY_HALFWIDTH either side of each point.  The ratio
-    should not depend on the configuration; the absolute constant is
-    reported, not asserted.  Raises if the LHS is below DUALITY_MIN_SNR
-    standard errors, with a suggested sample count, or is exactly 0.
+    should not depend on the configuration; against the RHS averaged over
+    the bins it is -4/pi, which the lemma1 campaign asserts.  Raises if the
+    LHS is below DUALITY_MIN_SNR standard errors, with a suggested sample
+    count, or is exactly 0.
     ``moment`` accepts only "quadrature".
     """
     pts = np.sort(point_array(points))
@@ -437,10 +447,7 @@ def duality_check(
     if moment != "quadrature":
         raise UsageError(f"unknown moment method {moment!r}")
     _check_samples(samples)
-    m = n - 2
-    total, b = _moment_numerator(m, pts[0], pts[1])
-    e_m = total / (math.factorial(m) * b**m)
-    rhs = float(np.sqrt(np.pi) / 4.0 * (pts[1] - pts[0]) * np.exp(-pts[0] ** 2 - pts[1] ** 2) * e_m)
+    rhs = _duality_rhs(n, pts[0], pts[1])
     bins = np.array([[pts[0] - DUALITY_HALFWIDTH, pts[0] + DUALITY_HALFWIDTH],
                      [pts[1] - DUALITY_HALFWIDTH, pts[1] + DUALITY_HALFWIDTH]])
     density = estimate_signed_density(n, bins, 2, samples, seed)

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import erfc
 
 from ginlab._rng import stream
+from ginlab.cli import _duality_constant_z
 from ginlab.group_integrals import (
     fit_shape_constant,
     integral_mc_grid,
@@ -105,9 +106,12 @@ def test_criterion_4_duality_at_desk_scale():
             z = abs(a.ratio - b.ratio) / math.hypot(a.ratio_stderr, b.ratio_stderr)
             worst = max(worst, z)
     assert worst < 3.0
+    # against the right-hand side averaged over the bins, the ratio is -4/pi
+    pooled = _duality_constant_z(reports)
+    assert abs(pooled) < 3.0
     assert t.elapsed < 600.0
     ratios = ", ".join(f"{r.ratio:.3f}+-{r.ratio_stderr:.3f}" for r in reports)
-    report(4, f"ratios {ratios}; worst pairwise z {worst:.2f}", t.elapsed)
+    report(4, f"ratios {ratios}; worst pairwise z {worst:.2f}; pooled z vs -4/pi {pooled:.2f}", t.elapsed)
 
 
 def test_criterion_5_matrix_integral_exactness():

@@ -234,7 +234,27 @@ def test_lemma1_campaign(tmp_path, capsys):
         ["lemma1", "--n", "10", "--samples", "12000", "--seed", "2", "--out", str(out)]
     )
     assert code == 0
-    assert "PASS duality_ratio_constant" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "PASS duality_ratio_constant" in text
+    assert "PASS duality_ratio_is_minus_4_over_pi" in text
+
+
+#: sha256 of the default mc-density and lemma1 result files, recorded with the
+#: bin average of 25 kernel.signed_density calls times the constant 0.5, and
+#: with the absolute duality constant reported, not asserted
+MC_DENSITY_SHA256 = "3225492a67b52595366af6e4de18900dfaec658497862336857211eba967c9d1"
+LEMMA1_SHA256 = "d7872cb39a4454f1d8a980da3e8f3c0c65fdd747e2cd4e4f804c7a5e24ecb47c"
+
+
+@pytest.mark.parametrize(
+    "campaign, digest",
+    [("mc-density", MC_DENSITY_SHA256), ("lemma1", LEMMA1_SHA256)],
+    ids=["mc-density", "lemma1"],
+)
+def test_monte_carlo_result_bytes_are_pinned(tmp_path, campaign, digest):
+    out = tmp_path / f"{campaign}.csv"
+    assert run_cli([campaign, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -347,6 +367,10 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["mc-spins", "--samples", "0"],
         ["mc-density", "--bins=0:1"],
         ["mc-density", "--bins", "0.5"],
+        # these exited 1 with float()'s and int()'s conversion messages
+        ["mc-density", "--bins=a:1:3"],
+        ["mc-density", "--bins=0:1:2.5"],
+        ["mc-density", "--bins=0:1:x"],
     ):
         assert run_cli([*argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
         assert "usage error" in capsys.readouterr().err
@@ -354,6 +378,7 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
     for name, value, campaign, message in (
         ("GINLAB_N", "abc", "mc-spins", "bad GINLAB_N='abc'"),
         ("GINLAB_FORMAT", "xml", "kernel-table", "format must be csv or json, got 'xml'"),
+        ("GINLAB_BINS", "0:1:x", "mc-density", "could not parse bin spec '0:1:x'"),
     ):
         with monkeypatch.context() as env:
             env.setenv(name, value)

@@ -141,31 +141,12 @@ def test_bad_parameters_are_usage_errors(no_draws, call):
         call()
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"grid": 0}, {"grid": 1}, {"grid": 2.5}, {"half_range": NAN}, {"half_range": INF},
-     {"half_range": 0.0}, {"half_range": -1.0}],
-    ids=["grid-0", "grid-1", "grid-float", "half_range-nan", "half_range-inf", "half_range-zero",
-         "half_range-negative"],
-)
-def test_heat_grid_and_range_are_usage_errors(kwargs):
-    def untouched(x1, x2):
-        raise AssertionError("evaluated a test function before checking the grid")
-
-    with pytest.raises(UsageError):
-        heat.initial_condition_check((untouched,), (0.1, 0.05), **kwargs)
-    # a negative range gave the target with its sign flipped
-    with pytest.raises(UsageError):
-        heat.delta_prime_target(untouched, **kwargs)
-
-
 def _untouched(*args):
     raise AssertionError("evaluated a function before checking the step")
 
 
 #: (name, call on a finite-difference step h)
 STEP_TAKERS = [
-    ("heat.delta_prime_target", lambda h: heat.delta_prime_target(_untouched, h=h)),
     ("heat.flat_heat_residual", lambda h: heat.flat_heat_residual(_untouched, (0.1, 0.5), 1.0, h)),
     ("heat.residual_order", lambda h: heat.residual_order(_untouched, (0.1, 0.5), 1.0, h)),
 ]

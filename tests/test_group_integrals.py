@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ginlab import group_integrals
 from ginlab._rng import stream
 from ginlab.group_integrals import (
     charpoly_moment_quadrature,
@@ -250,13 +251,14 @@ def test_shape_constant_k4_mc_small_budget():
     assert rows[0].fitted_constant == pytest.approx(0.5, abs=0.02)
 
 
-def test_integral_mc_grid_reproducible():
+def test_integral_mc_grid_reproducible(monkeypatch):
     a = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16)
     b = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16)
     assert a[0][0] == b[0][0]
     # another block size re-keys the streams (one per block), so the draws
     # differ and the estimates agree only statistically
-    c = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16, block=1000)
+    monkeypatch.setattr(group_integrals, "HAAR_BLOCK", 1000)
+    c = integral_mc_grid([(-0.5, 0.7)], [1.0], 3000, seed=16)
     assert np.isclose(c[0][0].mean, a[0][0].mean, rtol=0, atol=5e-3)
 
 
@@ -280,7 +282,7 @@ def _einsum_grid(configs, ts, samples, seed, block):
 
 @pytest.mark.parametrize("seed", [0, 2**63])
 @pytest.mark.parametrize("k", [2, 4, 6])
-def test_integral_mc_grid_matches_einsum_trace_bitwise(k, seed):
+def test_integral_mc_grid_matches_einsum_trace_bitwise(monkeypatch, k, seed):
     rng = np.random.default_rng(k)
     configs = [
         np.sort(rng.uniform(-40.0, 40.0, k)),
@@ -289,7 +291,8 @@ def test_integral_mc_grid_matches_einsum_trace_bitwise(k, seed):
     ]
     ts = (0.7, 60.0, 3000.0)
     # 777 does not divide 2000: the last block is short
-    got = integral_mc_grid(configs, ts, 2000, seed, block=777)
+    monkeypatch.setattr(group_integrals, "HAAR_BLOCK", 777)
+    got = integral_mc_grid(configs, ts, 2000, seed)
     want = _einsum_grid(configs, ts, 2000, seed, 777)
     hexes = [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in got]
     assert hexes == [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in want]

@@ -269,16 +269,9 @@ def test_equal_smallest_times_raise_before_any_density(no_density, t_sequence):
         initial_condition_check((_odd_fn,), t_sequence)
 
 
-@pytest.mark.parametrize("kwargs", [{"grid": 1}, {"grid": 0}, {"half_range": float("nan")}, {"half_range": 0.0}])
-def test_bad_grid_or_range_raises_before_any_density(no_density, kwargs):
-    # grid < 2 had no step xs[1] - xs[0]; a NaN range paired to NaN, and a
-    # range <= 0 was reported as a test function that does not decay
-    with pytest.raises(UsageError):
-        initial_condition_check((_odd_fn,), (0.1, 0.05), **kwargs)
-
-
-def test_two_point_grid_is_accepted():
-    (rep,) = initial_condition_check((_odd_fn,), (0.1, 0.05), grid=2)
+def test_two_point_grid_is_accepted(monkeypatch):
+    monkeypatch.setattr(heat, "_GRID", 2)
+    (rep,) = initial_condition_check((_odd_fn,), (0.1, 0.05))
     assert all(np.isfinite(r.pairing) for r in rep.rows)
 
 
@@ -305,16 +298,19 @@ def _whole_grid_pairing(test_fn, t_sequence, half_range, grid):
 
 @pytest.mark.parametrize(
     "half_range, grid",
-    # the default grid at two ranges, and grids around the earlier 64-row blocks
+    # the fixed grid, the fixed grid size at another range, and grids around
+    # the earlier 64-row blocks
     [(6.0, 801), (6.0, 65), (6.0, 129), (6.0, 33), (6.0, 97), (4.0, 801)]
     # one row short of a block, one row over, and one row over two blocks
     + [(5.0, heat._ROW_BLOCK - 1), (5.0, heat._ROW_BLOCK + 1), (5.0, 2 * heat._ROW_BLOCK + 1)],
 )
-def test_row_blocks_match_the_whole_grid_bit_for_bit(half_range, grid):
+def test_row_blocks_match_the_whole_grid_bit_for_bit(monkeypatch, half_range, grid):
+    monkeypatch.setattr(heat, "_HALF_RANGE", half_range)
+    monkeypatch.setattr(heat, "_GRID", grid)
     fns = (_odd_fn, _even_fn, _bump)
     # the second, unsorted sequence reuses each block's factors across four times
     for t_sequence in ((0.1, 0.025, 0.05), (0.07, 0.013, 0.11, 0.03)):
-        reports = initial_condition_check(fns, t_sequence, half_range=half_range, grid=grid)
+        reports = initial_condition_check(fns, t_sequence)
         assert len(reports) == len(fns)
         for fn, rep in zip(fns, reports):
             ts, pairings, extrapolated, target = _whole_grid_pairing(fn, t_sequence, half_range, grid)
@@ -337,7 +333,7 @@ def test_kernel_helper_is_the_one_line_formula_bit_for_bit():
 
 def test_default_pairing_forms_no_whole_grid_temporary():
     # the pass works in row blocks: its peak allocation stays below one
-    # float64 array over the default 801 x 801 grid (5.13 MB)
+    # float64 array over the fixed 801 x 801 grid (5.13 MB)
     fns, t_sequence = (_odd_fn, _even_fn), (0.1, 0.05, 0.025)
     initial_condition_check(fns, t_sequence)  # lazy set-up outside the trace
     tracemalloc.start()

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from ginlab.kernel import (
-    DENSITY_CALIBRATION,
     correlation,
     correlation_matrix,
     gauss_tail,
@@ -20,6 +19,7 @@ from ginlab.kernel import (
     signed_density,
     spin_correlation,
 )
+from ginlab.pfaffian import pfaffian
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -127,6 +127,32 @@ def test_signed_density_changes_by_the_permutation_sign(data, k):
     assert abs(signed_density(pts[perm]) - sign * signed_density(pts)) < 1e-12
 
 
+def _matching_scale(a):
+    """Sum over perfect matchings of |product of entries|: the size of a
+    Pfaffian's terms, which its rounding error is relative to."""
+    if len(a) == 0:
+        return 1.0
+    rest = lambda j: np.delete(np.delete(a, [0, j], axis=0), [0, j], axis=1)
+    return sum(abs(a[0, j]) * _matching_scale(rest(j)) for j in range(1, len(a)))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_signed_density_is_a_pfaffian_of_the_pair_density(k):
+    # (4/pi)**(k/4) = 2**(k/2) * (pi**-0.5)**(k/2), and a Pfaffian of k/2 pairs
+    # scales by c**(k/2): signed_density = 2**(k/2) * Pf[rho_2(x_i, x_j)]
+    rng = np.random.default_rng(100 + k)
+    for _ in range(200):
+        x = rng.uniform(-2.5, 2.5, k)
+        d = x[:, None] - x[None, :]
+        rho = (1.0 / SQRT_PI) * (d * np.exp(-d * d))  # rho_2(x_i, x_j)
+        want = 2.0 ** (k / 2) * pfaffian(rho)
+        if k == 2:
+            assert signed_density(x).hex() == want.hex()
+        else:
+            # relative to the terms: the Pfaffian itself may cancel
+            assert abs(signed_density(x) - want) <= 1e-13 * 2.0 ** (k / 2) * _matching_scale(rho)
+
+
 def test_signed_density_vanishes_at_large_separation():
     assert abs(signed_density((0.0, 8.0))) < 1e-25
 
@@ -212,7 +238,7 @@ def test_signed_density_integrates_to_spin_moment_rectangles():
     a1, b1, a2, b2 = -0.9, -0.2, 0.4, 1.3
 
     def dens(y1, y2):
-        return DENSITY_CALIBRATION * signed_density((y1, y2))
+        return 2.0 ** (-2 / 2) * signed_density((y1, y2))  # Pf[rho_2]: 2**(-k/2) times it
 
     inner = lambda y1: quad(lambda y2: dens(y1, y2), a2, b2, epsabs=1e-11)[0]
     lhs, _ = quad(inner, a1, b1, epsabs=1e-10, limit=200)
@@ -232,7 +258,7 @@ def test_signed_density_integrates_to_spin_moment_half_lines():
     x1, x2 = -0.3, 0.8
 
     def dens(y1, y2):
-        return DENSITY_CALIBRATION * signed_density((y1, y2))
+        return 2.0 ** (-2 / 2) * signed_density((y1, y2))  # Pf[rho_2]: 2**(-k/2) times it
 
     def inner(y1):
         return quad(lambda y2: dens(y1, y2), y1 - 10.0, x2, epsabs=1e-11, limit=200)[0]

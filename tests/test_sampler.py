@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from ginlab import group_integrals
 from ginlab._rng import stream, streams
 from ginlab.errors import UsageError
 from ginlab.group_integrals import charpoly_moment_quadrature, integral_mc_grid, vandermonde
-from ginlab.kernel import DENSITY_CALIBRATION, signed_density, spin_correlation
+from ginlab.kernel import signed_density, spin_correlation
 from ginlab.linalg import Spectrum, real_schur
 from ginlab.sampler import (
     ENTRY_VARIANCE,
@@ -198,7 +199,8 @@ def test_signed_density_matches_closed_form():
     est = dens.values[0, 1]
     se = dens.stderr[0, 1]
     centers = bins.mean(axis=1)
-    closed = DENSITY_CALIBRATION * signed_density(tuple(centers))
+    # the estimator measures Pf[rho_2], 2**(-k/2) times signed_density
+    closed = 2.0 ** (-2 / 2) * signed_density(tuple(centers))
     assert abs(est - closed) < 3 * se
     assert est < 0  # ordered nearby pairs anticorrelate
 
@@ -503,7 +505,7 @@ GOLDEN = {
 }
 
 
-def test_seeded_estimates_are_bit_identical():
+def test_seeded_estimates_are_bit_identical(monkeypatch):
     got = {}
     spin_cfgs = [(0.0, 0.5), (-0.3, 0.1, 0.4, 0.9), (0.4, 0.4)]
     got["spin_moments"] = [_hex(e) for e in estimate_spin_moments(8, spin_cfgs, 120, 3)]
@@ -520,8 +522,7 @@ def test_seeded_estimates_are_bit_identical():
     got["charpoly_log"] = _hex(
         estimate_charpoly_moment(5, (-0.3, 0.2, 0.6), 40, 6, log_domain=True)
     )
-    grid = integral_mc_grid(
-        [(-0.9, -0.3, 0.3, 0.9), (-0.6, -0.2, 0.2, 0.6)], [0.8, 1.5], 300, 9, block=128
-    )
+    monkeypatch.setattr(group_integrals, "HAAR_BLOCK", 128)
+    grid = integral_mc_grid([(-0.9, -0.3, 0.3, 0.9), (-0.6, -0.2, 0.2, 0.6)], [0.8, 1.5], 300, 9)
     got["mc_grid"] = [[_hex(e) for e in row] for row in grid]
     assert got == GOLDEN
