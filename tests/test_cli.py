@@ -2,12 +2,24 @@ import csv
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from ginlab import heat, kernel, stationary_phase
-from ginlab.cli import CAMPAIGNS, _max_check, _parse_bins, build_parser, main
+from ginlab.cli import (
+    CAMPAIGNS,
+    _bin_average,
+    _duality_constant_z,
+    _max_check,
+    _pair_density,
+    _parse_bins,
+    build_parser,
+    main,
+)
+from ginlab.sampler import DUALITY_HALFWIDTH, _duality_rhs
 
 
 #: twelve points: within find_max_matching's cap, beyond the phase sum's
@@ -226,6 +238,71 @@ def test_mc_density_campaign(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS signed_density_within_3_stderr" in capsys.readouterr().out
+
+
+def _signed_density_loop(lo1, hi1, lo2, hi2):
+    """The cell average as 25 kernel.signed_density calls added one by one,
+    times 0.5 = 2**(-k/2) at k = 2: how mc-density computed it before."""
+    u, w = np.polynomial.legendre.leggauss(5)
+    x1 = 0.5 * (hi1 - lo1) * u + 0.5 * (hi1 + lo1)
+    x2 = 0.5 * (hi2 - lo2) * u + 0.5 * (hi2 + lo2)
+    total = 0.0
+    for a, wa in zip(x1, w):
+        for b, wb in zip(x2, w):
+            total += wa * wb * kernel.signed_density((a, b))
+    return 0.5 * (total * 0.25)
+
+
+#: cell families, each as (lo1, width1, lo2 - hi1, width2) ranges to draw from
+CELL_FAMILIES = {
+    "same-bin": None,
+    "adjacent": ((-3.0, 3.0), (0.01, 1.0), (0.0, 0.0), (0.01, 1.0)),
+    "apart": ((-3.0, 3.0), (0.01, 1.0), (0.0, 2.0), (0.01, 1.0)),
+    "reversed": ((-3.0, 3.0), (0.01, 1.0), (-4.0, -1.0), (0.01, 1.0)),
+    "tail": ((-3.0, 3.0), (0.01, 0.5), (4.0, 8.0), (0.01, 0.5)),
+}
+
+
+@pytest.mark.parametrize("family", list(CELL_FAMILIES))
+def test_bin_average_of_the_pair_density_is_the_old_loop_bit_for_bit(family):
+    rng = np.random.default_rng(list(CELL_FAMILIES).index(family))
+    for _ in range(400):
+        if CELL_FAMILIES[family] is None:
+            lo1 = rng.uniform(-3.0, 3.0)
+            hi1 = lo1 + rng.uniform(0.01, 1.0)
+            cell = (lo1, hi1, lo1, hi1)
+        else:
+            lo1, w1, gap, w2 = (rng.uniform(*r) for r in CELL_FAMILIES[family])
+            cell = (lo1, lo1 + w1, lo1 + w1 + gap, lo1 + w1 + gap + w2)
+        got = _bin_average(_pair_density, *cell)
+        assert got.hex() == _signed_density_loop(*cell).hex(), cell
+
+
+#: lemma1's default configurations, with the RHS averaged over each row's cell
+#: by scipy's adaptive quadrature, independent of the Gauss-Legendre nodes
+LEMMA1_POINTS = [(-0.4, 0.4), (-0.2, 0.6), (0.1, 0.8)]
+
+
+@pytest.mark.parametrize(
+    "shifts, pooled",
+    [((0.0, 0.0, 0.0), 0.0), ((1.0, 1.0, 1.0), 3.0**0.5), ((-2.0, 0.0, 2.0), 0.0),
+     ((3.0, 0.0, 0.0), 3.0**0.5)],
+    ids=["exact", "one-stderr-high", "cancelling", "one-row-off"],
+)
+def test_duality_constant_z_pools_row_offsets_from_minus_4_over_pi(shifts, pooled):
+    # a row whose LHS is -4/pi times its cell's RHS plus s standard errors has
+    # z_i = s (the RHS is positive), and R rows pool to sum(s) / sqrt(R)
+    h, n = DUALITY_HALFWIDTH, 10
+    reports = []
+    for (x1, x2), s in zip(LEMMA1_POINTS, shifts):
+        integral, _ = dblquad(
+            lambda b, a: _duality_rhs(n, a, b), x1 - h, x1 + h, x2 - h, x2 + h, epsabs=0, epsrel=1e-13
+        )
+        rhs_bar = integral / (2 * h) ** 2
+        assert rhs_bar > 0
+        se = 1e-3 * rhs_bar
+        reports.append(SimpleNamespace(points=(x1, x2), n=n, lhs=-4 / np.pi * rhs_bar + s * se, lhs_stderr=se))
+    assert _duality_constant_z(reports) == pytest.approx(pooled, rel=0, abs=1e-8)
 
 
 def test_lemma1_campaign(tmp_path, capsys):

@@ -17,11 +17,13 @@ from ginlab.group_integrals import charpoly_moment_quadrature, integral_mc_grid,
 from ginlab.kernel import signed_density, spin_correlation
 from ginlab.linalg import Spectrum, real_schur
 from ginlab.sampler import (
+    DUALITY_HALFWIDTH,
     ENTRY_VARIANCE,
     DegenerateShiftError,
     GinOESample,
     _draw,
     _draw_streams,
+    _duality_rhs,
     _fill_draws,
     _moment_numerator,
     _shifted_slogdets,
@@ -337,6 +339,25 @@ def test_duality_rhs_is_within_4_ulp_of_mpmath(monkeypatch, n):
             exact = mpmath.sqrt(mpmath.pi) / 4 * (b - a) * mpmath.exp(-a * a - b * b) * e
             assert math.isfinite(rhs), (x1, x2)
             assert abs(mpmath.mpf(rhs) - exact) <= 4 * math.ulp(rhs), (x1, x2)
+
+
+@pytest.mark.parametrize("n", [3, 10, 40, 200])
+def test_duality_rhs_helper_is_the_inline_expression_bit_for_bit(monkeypatch, n):
+    # duality_check's RHS, once computed inline at its sorted points, and the
+    # helper that lemma1 also averages over the bins: the same bits
+    stub = SimpleNamespace(values=np.full((2, 2), -0.2), stderr=np.full((2, 2), 0.01))
+    monkeypatch.setattr("ginlab.sampler.estimate_signed_density", lambda *args: stub)
+    rng = np.random.default_rng(n)
+    for x1, x2 in DUALITY_CONFIGS + [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(40)]:
+        if abs(x2 - x1) < 2 * DUALITY_HALFWIDTH:
+            continue
+        pts = np.sort(np.array([x1, x2]))
+        m = n - 2
+        total, b = _moment_numerator(m, pts[0], pts[1])
+        e_m = total / (math.factorial(m) * b**m)
+        inline = float(np.sqrt(np.pi) / 4.0 * (pts[1] - pts[0]) * np.exp(-pts[0] ** 2 - pts[1] ** 2) * e_m)
+        assert _duality_rhs(n, pts[0], pts[1]).hex() == inline.hex(), (x1, x2)
+        assert duality_check(n, (x1, x2), 4000, 1).rhs.hex() == inline.hex(), (x1, x2)
 
 
 def test_duality_sum_is_the_exponential_partial_sum():
