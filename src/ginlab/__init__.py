@@ -4,7 +4,8 @@ over skew-symmetric unitaries, stationary-phase combinatorics and the
 heat-flow characterization of the signed eigenvalue density).
 
 Importing the package, or ``ginlab.cli``, loads neither scipy nor
-numpy.random: each scipy import sits in the function that calls it, and
+numpy.random, and no campaign loads scipy: erfc is computed in ``kernel``,
+the one scipy import sits in ``sampler.expected_real_count``, and
 numpy.random loads with the first RNG stream."""
 
 from .kernel import (

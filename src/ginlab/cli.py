@@ -271,22 +271,42 @@ def _pair_density(x1, x2):
     return kernel.moment_constant(2) / 2.0 * (d * np.exp(-d * d))
 
 
+def _rhs_bin_average(n: int, lo1, hi1, lo2, hi2) -> float:
+    """sampler._duality_rhs(n, ., .), which is -(pi/4) rho_2^n, averaged over a cell."""
+    rhs_at = np.vectorize(partial(_duality_rhs, n), otypes=[float])
+    return _bin_average(rhs_at, lo1, hi1, lo2, hi2)
+
+
+def _pair_density_n(n: int, lo1, hi1, lo2, hi2) -> float:
+    """The finite-n signed pair density rho_2^n averaged over a cell:
+    0 at n = 1, which has no pairs, and NaN on an infinite cell, as the
+    bulk form gives there."""
+    if not np.all(np.isfinite((lo1, hi1, lo2, hi2))):
+        return float("nan")
+    return 0.0 if n < 2 else -4.0 / np.pi * _rhs_bin_average(n, lo1, hi1, lo2, hi2)
+
+
 def run_mc_density(cfg):
     edges = np.linspace(-0.75, 0.75, 5) if cfg["bins"] is None else cfg["bins"]
     dens = estimate_signed_density(cfg["n"], edges, 2, cfg["samples"], cfg["seed"])
     columns = ("lo1", "hi1", "lo2", "hi2", "estimate", "stderr", "closed_form", "zscore")
-    rows = []
+    rows, zs_n = [], []
     m = len(dens.intervals)
     # the raw cell measure is swap-symmetric; the closed form is its value
     # on ordered products, so compare cells with interval_i left of interval_j
     for i in range(m):
         for j in range(i + 1, m):
-            closed = _bin_average(_pair_density, *dens.intervals[i], *dens.intervals[j])
+            cell = (*dens.intervals[i], *dens.intervals[j])
+            closed = _bin_average(_pair_density, *cell)
             est = dens.values[i, j]
             se = dens.stderr[i, j]
             z = _zscore(est, closed, se)
-            rows.append((*dens.intervals[i], *dens.intervals[j], est, se, closed, z))
-    checks = [_max_check("signed_density_within_3_stderr", [r[-1] for r in rows], 3.0)]
+            rows.append((*cell, est, se, closed, z))
+            zs_n.append(_zscore(est, _pair_density_n(cfg["n"], *cell), se))
+    checks = [
+        _max_check("signed_density_within_3_stderr", [r[-1] for r in rows], 3.0),
+        _max_check("finite_n_density_within_3_stderr", zs_n, 3.0),
+    ]
     return columns, rows, checks
 
 
@@ -299,8 +319,7 @@ def _duality_constant_z(reports) -> float:
     zs = []
     for r in reports:
         (x1, x2), h = r.points, DUALITY_HALFWIDTH
-        rhs_at = np.vectorize(partial(_duality_rhs, r.n), otypes=[float])
-        rhs = _bin_average(rhs_at, x1 - h, x1 + h, x2 - h, x2 + h)
+        rhs = _rhs_bin_average(r.n, x1 - h, x1 + h, x2 - h, x2 + h)
         zs.append((r.lhs / rhs + 4.0 / np.pi) * abs(rhs) / r.lhs_stderr)
     return float(sum(zs) / np.sqrt(len(zs)))
 

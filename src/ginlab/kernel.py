@@ -21,9 +21,18 @@ The density whose integrals give the spin moments, and which the Monte
 Carlo estimator measures, is Pf[rho_2(x_i, x_j)]: 2**(-k/2) times
 signed_density, 0.5 at k = 2 and 0.25 at k = 4.
 
+erfc is computed here, by _erfc, a port of the Cephes ndtr.c erfc/erf pair
+that scipy.special ships: the same coefficients, Horner steps, branch
+points and underflow cut, so it returns scipy.special.erfc's bits without
+loading scipy.special (about 24 MB resident with scipy 1.17).  Its
+exponential is math.exp, the C library exp that the compiled Cephes code
+calls; numpy's vectorized exp rounds some arguments differently.
+
 All functions are pure and thread-safe.  Positions are in the units of the
 exp(-Tr M M^T) matrix normalization; no rescaling is applied here.
 """
+
+import math
 
 import numpy as np
 
@@ -32,12 +41,79 @@ from .pfaffian import pfaffian
 
 SQRT_PI = float(np.sqrt(np.pi))
 
+# Cephes ndtr.c: erfc(x) = exp(-x*x) P(x)/Q(x) for 1 <= |x| < 8 and
+# exp(-x*x) R(x)/S(x) beyond; erf(x) = x T(x*x)/U(x*x) for |x| < 1.  Q, S and
+# U lead with the 1.0 that Cephes' p1evl implies: 1.0 * x + c is x + c exactly.
+_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: log(DBL_MAX); Cephes returns 0 or 2 once -x*x falls below -MAXLOG
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef) -> float:
+    """Cephes polevl: Horner's rule from the leading coefficient."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc_scalar(a: float) -> float:
+    """Cephes erfc at one Python float, step for step."""
+    if math.isnan(a):
+        return math.nan
+    x = abs(a)
+    if x < 1.0:
+        # 1 - erf(a); Cephes forms erf(a) as -erf(-a) for a < 0, the same bits
+        z = a * a
+        return 1.0 - a * _polevl(z, _T) / _polevl(z, _U)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _P), _polevl(x, _Q)
+    else:
+        p, q = _polevl(x, _R), _polevl(x, _S)
+    y = z * p / q
+    # Cephes' underflow exit returns 0.0 or 2.0, the values this gives there
+    return 2.0 - y if a < 0 else y
+
+
+def _erfc(x):
+    """scipy.special.erfc, bit for bit, elementwise: a 0-d input gives
+    np.float64 and an array keeps its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array([_erfc_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)[()]
+
 
 def gauss_tail(x):
     """Normalized Gaussian tail pi**-0.5 * int_x^inf exp(-z*z) dz."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(x)
+    return 0.5 * _erfc(x)
 
 
 def gauss_tail_d1(x):
@@ -121,10 +197,9 @@ def spin_correlation(points) -> float:
     leaving plain Pf[erfc(x_j - x_i)].  Ties are allowed: a coincident pair
     contributes erfc(0) = 1 exactly.
     """
-    from scipy.special import erfc
-
     srt = np.sort(point_array(points, even=True))
-    d = srt[None, :] - srt[:, None]  # d[i, j] = x_j - x_i
-    a = np.triu(erfc(d), 1)
+    i, j = np.triu_indices(len(srt), 1)
+    a = np.zeros((len(srt), len(srt)))
+    a[i, j] = _erfc(srt[j] - srt[i])
     a = a - a.T
     return float(pfaffian(a))

@@ -383,7 +383,13 @@ def _moment_numerator(m: int, x1: float, x2: float) -> tuple:
     correctly rounded quotient of integers even where the terms cancel.
     """
     a, b = float(x1 * x2).as_integer_ratio()
-    return sum(math.perm(m, k) * a ** (m - k) * b**k * 2 ** (m - k) for k in range(m + 1)), b
+    # nested, with c = 2a: N = c^m + m b (c^(m-1) + (m-1) b (... + 1 b)), so
+    # each step multiplies by 2a and by i b instead of forming a power afresh
+    total, power = 1, 1
+    for i in range(1, m + 1):
+        power *= 2 * a
+        total = power + i * b * total
+    return total, b
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from ginlab.cli import (
     _duality_constant_z,
     _max_check,
     _pair_density,
+    _pair_density_n,
     _parse_bins,
     build_parser,
     main,
@@ -237,7 +239,48 @@ def test_mc_density_campaign(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "PASS signed_density_within_3_stderr" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "PASS signed_density_within_3_stderr" in text
+    assert "PASS finite_n_density_within_3_stderr" in text
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mc_density_asserts_the_finite_n_pair_density(tmp_path, n):
+    # at small n and wide bins the bulk form is off by tens of standard
+    # errors in some cell; rho_2^n at the run's n fits every cell
+    out = tmp_path / "dens.csv"
+    argv = ["mc-density", "--n", str(n), "--samples", "20000", "--bins=-1.5,-0.75,0,0.75,1.5"]
+    assert run_cli([*argv, "--seed", "20240901", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in read_manifest(str(out) + ".manifest.json")["checks"]}
+    assert checks["finite_n_density_within_3_stderr"]["passed"]
+    assert not checks["signed_density_within_3_stderr"]["passed"]
+    assert checks["signed_density_within_3_stderr"]["measured"] > 30.0
+
+
+def _rho2_n(n, x1, x2):
+    """pi**-0.5 (x1 - x2) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2), term by term."""
+    e = sum((2.0 * x1 * x2) ** j / math.factorial(j) for j in range(n - 1))
+    return (x1 - x2) * math.exp(-x1 * x1 - x2 * x2) * e / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 40])
+def test_finite_n_pair_density_is_the_bin_average_of_rho_2_n(n):
+    # scipy's adaptive quadrature of the formula, independent of the
+    # Gauss-Legendre nodes and of the exact integer sum
+    for cell in [(-1.5, -0.75, 0.0, 0.75), (-0.3, 0.2, 0.9, 1.6), (0.75, 1.5, -0.75, 0.0), (-2.0, -1.2, 1.2, 2.0)]:
+        integral, _ = dblquad(lambda b, a: _rho2_n(n, a, b), *cell, epsabs=0, epsrel=1e-12)
+        want = integral / ((cell[1] - cell[0]) * (cell[3] - cell[2]))
+        # the 5-node rule's own error on cells this wide is below 1e-7, far
+        # under any Monte Carlo standard error it is compared with
+        assert _pair_density_n(n, *cell) == pytest.approx(want, rel=1e-6, abs=0)
+
+
+def test_finite_n_pair_density_edge_cases():
+    assert _pair_density_n(1, -1.0, 0.0, 0.0, 1.0) == 0.0  # one eigenvalue: no pairs
+    assert np.isnan(_pair_density_n(10, -np.inf, 0.0, 0.0, 1.0))  # as the bulk form
+    # the finite-n density tends to the bulk form at fixed points
+    cell = (-0.75, -0.375, 0.0, 0.375)
+    assert _pair_density_n(400, *cell) == pytest.approx(_bin_average(_pair_density, *cell), rel=1e-14)
 
 
 def _signed_density_loop(lo1, hi1, lo2, hi2):

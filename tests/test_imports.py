@@ -1,11 +1,12 @@
 """The import contract, and the bits of every function that imports scipy itself.
 
-Importing ``ginlab.cli`` loads neither scipy nor numpy.random; a campaign
-that never calls a scipy function never loads scipy.  Each scipy import
-sits in the one function that calls it, so each of those functions runs
-here against values recorded while the imports were still at module level.
+Importing ``ginlab.cli`` loads neither scipy nor numpy.random, and no
+campaign loads scipy.  The one scipy import left sits in the function that
+calls it, ``sampler.expected_real_count``, so that function runs here
+against values recorded while the import was still at module level.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,13 +44,38 @@ def test_campaigns_without_scipy_functions_never_load_scipy(tmp_path):
     out = _python(
         "import sys\n"
         "from ginlab.cli import main\n"
-        "for argv in (['pfaffian-selftest'], ['mc-density'], ['lemma1', '--n', '6', '--samples', '5000'],\n"
-        "             ['matrix-integral', '--k', '2'], ['stationary-phase'], ['heat-check']):\n"
+        "for argv in (['pfaffian-selftest'], ['kernel-table'], ['mc-spins'], ['mc-density'],\n"
+        "             ['lemma1', '--n', '6', '--samples', '5000'], ['matrix-integral', '--k', '2'],\n"
+        "             ['stationary-phase'], ['heat-check']):\n"
         "    assert main([*argv, '--out', argv[0] + '.csv']) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path,
     )
     assert out.splitlines()[-1] == "[]"
+
+
+def _scipy_imports(node, fn=None):
+    """(innermost enclosing function or None, module) of each scipy import under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            found += [(fn, a.name) for a in child.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module.split(".")[0] == "scipy":
+            found.append((fn, child.module))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        found += _scipy_imports(child, inner)
+    return found
+
+
+def test_the_only_scipy_import_is_in_expected_real_count():
+    # every campaign runs without scipy; expected_real_count is on no
+    # campaign path, and its bits are pinned below
+    found = [
+        (path.stem, *imp)
+        for path in sorted(Path(SRC, "ginlab").glob("*.py"))
+        for imp in _scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("sampler", "expected_real_count", "scipy.special")]
 
 
 def test_the_duality_check_loads_neither_group_integrals_nor_scipy(tmp_path):
@@ -102,7 +128,8 @@ def test_expected_real_count_bits_are_pinned():
 
 
 def test_erfc_sites_and_sign_det_run():
-    # the default kernel-table bytes are pinned in test_cli; here each site runs once
+    # the default kernel-table bytes are pinned in test_cli, and _erfc's bits
+    # against scipy.special.erfc in test_kernel; here each site runs once
     assert gauss_tail(0.0) == 0.5
     assert spin_correlation((0.3, 0.3)) == 1.0
     assert sign_det(np.array([[0.0, 2.0], [3.0, 1.0]])) == -1

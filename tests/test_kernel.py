@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from ginlab.kernel import (
+    _MAXLOG,
+    _erfc,
     correlation,
     correlation_matrix,
     gauss_tail,
@@ -26,6 +28,45 @@ SQRT_PI = math.sqrt(math.pi)
 
 def test_gauss_tail_at_zero_exact():
     assert gauss_tail(0.0) == 0.5
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _around(x, ulps=3):
+    """x and its ``ulps`` neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def test_erfc_is_scipys_bit_for_bit_at_its_edges():
+    # scipy.special.erfc is the oracle: the Cephes code _erfc ports
+    pts = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    for edge in (1.0, 8.0, math.sqrt(_MAXLOG)):  # branch points and the MAXLOG cut
+        pts += _around(edge) + _around(-edge)
+    pts += list(np.linspace(26.0, 27.3, 4001))  # exp(-x*x) and erfc go subnormal
+    assert _hex(_erfc(pts)) == _hex(erfc(pts))
+    assert _hex(_erfc(pts[:5])) == ["0x1.0000000000000p+0"] * 2 + ["nan", "0x0.0p+0", "0x1.0000000000000p+1"]
+
+
+def test_erfc_is_scipys_bit_for_bit_on_a_million_points():
+    x = np.random.default_rng(20240901).uniform(-30.0, 30.0, 10**6)
+    assert np.array_equal(_erfc(x).view(np.int64), erfc(x).view(np.int64))
+
+
+def test_erfc_return_types():
+    for x in (0.5, 2, np.float64(9.0), np.array(-1.5)):
+        assert type(_erfc(x)) is np.float64
+        assert type(gauss_tail(x)) is np.float64
+    for shape in ((0,), (3,), (2, 3)):
+        x = np.linspace(-2.0, 2.0, math.prod(shape)).reshape(shape)
+        got = _erfc(x)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+        assert _hex(gauss_tail(x)) == _hex(0.5 * erfc(x))
 
 
 def test_gauss_tail_reflection():
@@ -170,6 +211,19 @@ def test_spin_correlation_coincident_pair_exact():
 def test_spin_correlation_pair_is_erfc():
     for d in (0.25, 0.5, 1.0, 2.0):
         assert abs(spin_correlation((0.0, d)) - erfc(d)) < 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_spin_correlation_is_the_full_matrix_form_bit_for_bit(k):
+    # erfc on the strict upper triangle only gives the matrix that
+    # np.triu(erfc(d), 1) minus its transpose gave, and so the same Pfaffian
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        x = rng.uniform(-3.0, 3.0, k)
+        x[1] = x[0]  # a tie
+        srt = np.sort(x)
+        a = np.triu(erfc(srt[None, :] - srt[:, None]), 1)
+        assert spin_correlation(x).hex() == float(pfaffian(a - a.T)).hex()
 
 
 def test_spin_correlation_factorizes():

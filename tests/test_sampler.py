@@ -373,6 +373,21 @@ def test_duality_sum_is_the_exponential_partial_sum():
             assert charpoly_moment_quadrature(m, x1, x2) == float(moment), (m, x1, x2)
 
 
+def _moment_numerator_sum(m, x1, x2):
+    """The numerator term by term, as sum_k perm(m, k) a^(m-k) b^k 2^(m-k)."""
+    a, b = float(x1 * x2).as_integer_ratio()
+    return sum(math.perm(m, k) * a ** (m - k) * b**k * 2 ** (m - k) for k in range(m + 1)), b
+
+
+def test_moment_numerator_is_the_term_by_term_sum():
+    # the nested evaluation gives the same integers, out to n = 400
+    rng = np.random.default_rng(7)
+    points = DUALITY_CONFIGS + [(1e-300, 1e-20), (-2.5, 0.0)]
+    for m in [*range(12), 38, 198, 398]:
+        for x1, x2 in points + [tuple(rng.uniform(-3.0, 3.0, 2))]:
+            assert _moment_numerator(m, x1, x2) == _moment_numerator_sum(m, x1, x2), (m, x1, x2)
+
+
 def test_duality_insufficient_samples():
     with pytest.raises(RuntimeError, match="samples"):
         duality_check(10, (-0.4, 0.4), 300, seed=34)
