@@ -27,7 +27,6 @@ from . import __version__, heat, kernel, stationary_phase
 from ._rng import stream
 from .errors import UsageError
 from .group_integrals import (
-    exact_shape,
     fit_shape_constant,
     integral_mc_grid,
     integral_quadrature_k2,
@@ -278,15 +277,13 @@ def _rhs_bin_average(n: int, lo1, hi1, lo2, hi2) -> float:
 
 
 def _pair_density_n(n: int, lo1, hi1, lo2, hi2) -> float:
-    """The finite-n signed pair density rho_2^n averaged over a cell:
-    0 at n = 1, which has no pairs, and NaN on an infinite cell, as the
-    bulk form gives there."""
-    if not np.all(np.isfinite((lo1, hi1, lo2, hi2))):
-        return float("nan")
-    return 0.0 if n < 2 else -4.0 / np.pi * _rhs_bin_average(n, lo1, hi1, lo2, hi2)
+    """The finite-n signed pair density rho_2^n averaged over a cell."""
+    return -4.0 / np.pi * _rhs_bin_average(n, lo1, hi1, lo2, hi2)
 
 
 def run_mc_density(cfg):
+    if cfg["n"] < 2:  # one eigenvalue has no pairs: every cell would read 0 +- 0
+        raise UsageError(f"mc-density needs n >= 2, got {cfg['n']}")
     edges = np.linspace(-0.75, 0.75, 5) if cfg["bins"] is None else cfg["bins"]
     dens = estimate_signed_density(cfg["n"], edges, 2, cfg["samples"], cfg["seed"])
     columns = ("lo1", "hi1", "lo2", "hi2", "estimate", "stderr", "closed_form", "zscore")
@@ -396,7 +393,7 @@ def run_stationary_phase(cfg):
         "sqrt_abs_hessian_det",
         "measured_log2_prefactor",
     )
-    table = stationary_phase.critical_table(pts)
+    table = stationary_phase.critical_data(pts)
     rows = list(
         zip(
             table.names(),

@@ -6,8 +6,8 @@ code 2.  Numerical failures keep their own classes and exit code 1.
 
 Every point list and every time in the package goes through
 :func:`point_array` and :func:`positive_time`: a point list is nonempty and
-finite, a time is finite and positive.  Bin edges are the one exception:
-they may be infinite (half-line bins), and only NaN is rejected.
+finite, a time is finite and positive.  Bin edges, which
+:func:`ginlab.sampler.estimate_signed_density` checks, must be finite too.
 """
 
 import numpy as np

@@ -250,8 +250,8 @@ def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
 
 def _as_intervals(bins) -> np.ndarray:
     b = np.asarray(bins, dtype=float)
-    if np.isnan(b).any():
-        raise UsageError("bin edges must not be NaN")
+    if not np.isfinite(b).all():
+        raise UsageError("bin edges must be finite")
     if b.ndim == 1:
         if len(b) < 2 or np.any(np.diff(b) <= 0):
             raise UsageError("edges must be strictly increasing")

@@ -18,29 +18,31 @@ builds both sides independently.  Complex exponents write 1/(i t) as
 
 All matchings are handled at once, from the matching table of
 :mod:`ginlab.pfaffian`: the columns x[i_k] and x[j_k] of every word are
-two (matchings x K) arrays, and :func:`critical_table`,
-:func:`critical_data`, :func:`find_max_matching` and
-:func:`matchings_phase_sum` compute column by column what the per-matching
-scalar loop computes, bit for bit: sums from 0.0 and products from 1.0 run
-over the pairs in order (not ``np.sum``/``np.prod``, whose order is not the
-loop's), ``2.0 * a * b`` is evaluated left to right, and the phase sum's
-terms are added with ``np.add.accumulate`` as in ``pfaffian_matchings``.
+two (matchings x K) arrays, and :func:`critical_data`,
+:func:`find_max_matching` and :func:`matchings_phase_sum` compute column by
+column what the per-matching scalar loop computes, bit for bit: sums from
+0.0 and products from 1.0 run over the pairs in order (not
+``np.sum``/``np.prod``, whose order is not the loop's), ``2.0 * a * b`` is
+evaluated left to right, and the phase sum's terms are added with
+``np.add.accumulate`` as in ``pfaffian_matchings``.
 Its complex products need no writing out: each has one real factor, and a
 product whose imaginary part is zero rounds the same with or without the
 fused multiply-adds of numpy's vectorized complex multiply.
 The per-matching functions :func:`critical_value`, :func:`hessian_spectrum`,
 :func:`signature`, :func:`sqrt_abs_hessian_det` and
-:func:`vandermonde_ratio_report` are that scalar loop, kept as test oracles.
+:func:`vandermonde_ratio_report` (which calls :func:`sqrt_abs_hessian_det`)
+are that scalar loop, kept as test oracles, as is :func:`laplace_leading`
+for the small-t limit.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UsageError, point_array, positive_time
 from .group_integrals import vandermonde
-from .pfaffian import Matching, _matching_table, _sum_in_order, _word_name, enumerate_matchings, pfaffian
+from .pfaffian import Matching, _matching_table, _sum_in_order, _word_name, pfaffian
+from .pfaffian import enumerate_matchings  # noqa: F401  (the benchmark rebinds it here)
 
 
 def _ordered_points(points, two_k=None) -> np.ndarray:
@@ -113,7 +115,12 @@ def find_max_matching(points) -> Matching:
     return Matching(tuple(zip(w[0::2], w[1::2])))
 
 
-def _hessian_spectrum(m: Matching, x: np.ndarray) -> list:
+def hessian_spectrum(m: Matching, points) -> list:
+    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries.
+
+    A test oracle for the table's spectra; the package itself does not call it.
+    """
+    x = _ordered_points(points, m.two_k)
     out = []
     pairs = m.pairs
     for k in range(len(pairs)):
@@ -125,25 +132,10 @@ def _hessian_spectrum(m: Matching, x: np.ndarray) -> list:
     return out
 
 
-def hessian_spectrum(m: Matching, points) -> list:
-    """Normal-space Hessian eigenvalues as (value, multiplicity=2) entries.
-
-    A test oracle for the table's spectra; the package itself does not call it.
-    """
-    return _hessian_spectrum(m, _ordered_points(points, m.two_k))
-
-
 def _nonzero_spectrum(m: Matching, spectrum: list) -> list:
     if any(val == 0.0 for val, _mult in spectrum):
         raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {m}")
     return spectrum
-
-
-def _sqrt_abs_det(m: Matching, spectrum: list) -> float:
-    out = 1.0
-    for val, _mult in _nonzero_spectrum(m, spectrum):
-        out *= abs(val)
-    return float(out)
 
 
 def signature(m: Matching, points) -> int:
@@ -163,7 +155,10 @@ def sqrt_abs_hessian_det(m: Matching, points) -> float:
     Each (value, multiplicity 2) entry contributes |value| once.  A test
     oracle for the table's column; the package itself does not call it.
     """
-    return _sqrt_abs_det(m, hessian_spectrum(m, points))
+    out = 1.0
+    for val, _mult in _nonzero_spectrum(m, hessian_spectrum(m, points)):
+        out *= abs(val)
+    return float(out)
 
 
 def vandermonde_ratio_report(m: Matching, points) -> dict:
@@ -191,7 +186,7 @@ def vandermonde_ratio_report(m: Matching, points) -> dict:
             )
     gaps = np.prod([x[j - 1] - x[i - 1] for i, j in pairs])
     ratio = vandermonde(x) / gaps
-    sqrt_det = _sqrt_abs_det(m, _hessian_spectrum(m, x))
+    sqrt_det = sqrt_abs_hessian_det(m, x)
     kk = len(pairs)
     return {
         "cross_product": float(cross),
@@ -200,14 +195,6 @@ def vandermonde_ratio_report(m: Matching, points) -> dict:
         "measured_log2_prefactor": float(np.log2(sqrt_det / ratio)),
         "eigenvalue_power_of_two": kk * (kk - 1),
     }
-
-
-def _check_counts(kk: int, eigenvalue_count: int, signatures, inversions) -> None:
-    """Raise unless there are K(K-1) eigenvalues and signature = 4 inversions - 2K(K-1)."""
-    if eigenvalue_count != kk * (kk - 1):
-        raise ValueError("unexpected eigenvalue count")
-    if np.any(signatures - 4 * inversions + 2 * kk * (kk - 1)):
-        raise ValueError("signature inconsistent with inversion count")
 
 
 class CriticalTable(NamedTuple):
@@ -230,7 +217,15 @@ class CriticalTable(NamedTuple):
         return [_word_name(w) for w in (self.words + 1).tolist()]
 
 
-def _critical_table(x: np.ndarray) -> CriticalTable:
+def critical_data(points) -> CriticalTable:
+    """The ``stationary-phase`` campaign's table, all matchings at once.
+
+    Capped at 10 points, as :func:`matchings_phase_sum` is, so that a
+    configuration the campaign cannot finish is refused before its
+    (2K-1)!! rows are built.  Raises unless each signature is
+    4 * inversions - 2K(K-1).
+    """
+    x = _phase_sum_points(points)
     words, inv, xi, xj = _pair_columns(x)
     inv = inv.astype(np.int64)  # 4 * inversions reaches 224, past int8
     kk = xi.shape[1]
@@ -248,7 +243,8 @@ def _critical_table(x: np.ndarray) -> CriticalTable:
         name = _word_name((words[zero[0]] + 1).tolist())
         raise ValueError(f"degenerate configuration: zero Hessian eigenvalue for {name}")
     signatures = np.where(spectra > 0, 2, -2).sum(axis=1)
-    _check_counts(kk, spectra.shape[1], signatures, inv)
+    if np.any(signatures - 4 * inv + 2 * kk * (kk - 1)):
+        raise ValueError("signature inconsistent with inversion count")
     sqrt_det = np.ones(len(words))
     for col in np.abs(spectra).T:
         sqrt_det *= col
@@ -265,53 +261,6 @@ def _critical_table(x: np.ndarray) -> CriticalTable:
         sqrt_abs_hessian_dets=sqrt_det,
         log2_prefactors=np.log2(sqrt_det / ratio),
     )
-
-
-def critical_table(points) -> CriticalTable:
-    """The ``stationary-phase`` campaign's table, all matchings at once.
-
-    Capped at 10 points, as :func:`matchings_phase_sum` is, so that a
-    configuration the campaign cannot finish is refused before its
-    (2K-1)!! rows are built.
-    """
-    return _critical_table(_phase_sum_points(points))
-
-
-@dataclass(frozen=True)
-class CriticalDatum:
-    """Everything the phase sum needs from one critical torus."""
-
-    matching: Matching
-    critical_value: float
-    hessian_eigenvalues: tuple
-    signature: int
-    inversions: int
-
-    def __post_init__(self):
-        kk = self.matching.two_k // 2
-        _check_counts(kk, len(self.hessian_eigenvalues), self.signature, self.inversions)
-
-
-def critical_data(points) -> list:
-    """The per-matching table of critical values, spectra and signatures."""
-    x = _ordered_points(points)
-    table = _critical_table(x)
-    rows = zip(
-        table.critical_values.tolist(),
-        table.hessian_eigenvalues.tolist(),
-        table.signatures.tolist(),
-        table.inversions.tolist(),
-    )
-    return [
-        CriticalDatum(
-            matching=m,
-            critical_value=value,
-            hessian_eigenvalues=tuple((v, 2) for v in spectrum),
-            signature=sig,
-            inversions=count,
-        )
-        for m, (value, spectrum, sig, count) in zip(enumerate_matchings(len(x)), rows)
-    ]
 
 
 def matchings_phase_sum(points, t: float) -> complex:

@@ -119,7 +119,7 @@ def test_stationary_phase_checks_points_once_per_public_call(tmp_path, monkeypat
     monkeypatch.setattr(stationary_phase, "_ordered_points", counted)
     points = "0.3,0.9,1.6,2.4,3.1,3.7,4.2,4.8,5.5,6.1"
     assert run_cli(["stationary-phase", "--points", points, "--out", str(tmp_path / "sp.csv")]) == 0
-    # critical_table, matchings_phase_sum and phase_pfaffian_ratio at the one t,
+    # critical_data, matchings_phase_sum and phase_pfaffian_ratio at the one t,
     # find_max_matching: one check per public call, none per matching
     assert len(calls) == 4
 
@@ -148,7 +148,6 @@ def test_stationary_phase_refuses_twelve_points_before_any_table(tmp_path, monke
         raise AssertionError("a matching table was built")
 
     monkeypatch.setattr(stationary_phase, "_matching_table", no_table)
-    monkeypatch.setattr(stationary_phase, "_critical_table", no_table)
     argv = ["stationary-phase", f"--points={TWELVE_POINTS}", "--out", str(tmp_path / "sp.csv")]
     assert run_cli(argv) == 2
     assert built == []
@@ -275,10 +274,8 @@ def test_finite_n_pair_density_is_the_bin_average_of_rho_2_n(n):
         assert _pair_density_n(n, *cell) == pytest.approx(want, rel=1e-6, abs=0)
 
 
-def test_finite_n_pair_density_edge_cases():
-    assert _pair_density_n(1, -1.0, 0.0, 0.0, 1.0) == 0.0  # one eigenvalue: no pairs
-    assert np.isnan(_pair_density_n(10, -np.inf, 0.0, 0.0, 1.0))  # as the bulk form
-    # the finite-n density tends to the bulk form at fixed points
+def test_finite_n_pair_density_tends_to_the_bulk_form():
+    # at fixed points, as n grows
     cell = (-0.75, -0.375, 0.0, 0.375)
     assert _pair_density_n(400, *cell) == pytest.approx(_bin_average(_pair_density, *cell), rel=1e-14)
 
@@ -469,6 +466,10 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
         # non-finite points and times
         ["lemma1", "--points", "nan,0.5"],
         ["mc-density", "--bins=nan,0,0.5,1"],
+        # runs that could never pass: a half-line cell's closed form is NaN,
+        # and at n = 1 every cell reads 0 +- 0 against a nonzero bulk form
+        ["mc-density", "--bins=-inf,0,1,inf"],
+        ["mc-density", "--n", "1"],
         ["stationary-phase", "--points", "0.3,nan"],
         ["stationary-phase", "--t-grid", "1.0,nan"],
         ["matrix-integral", "--k", "2", "--t-grid", "0.5,nan"],
@@ -499,6 +500,7 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
         ("GINLAB_N", "abc", "mc-spins", "bad GINLAB_N='abc'"),
         ("GINLAB_FORMAT", "xml", "kernel-table", "format must be csv or json, got 'xml'"),
         ("GINLAB_BINS", "0:1:x", "mc-density", "could not parse bin spec '0:1:x'"),
+        ("GINLAB_BINS", "-inf,0,1,inf", "mc-density", "bin edges must be finite"),
     ):
         with monkeypatch.context() as env:
             env.setenv(name, value)

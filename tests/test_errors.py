@@ -44,7 +44,6 @@ POINT_TAKERS = [
     ("stationary_phase.sqrt_abs_hessian_det", lambda x: sp.sqrt_abs_hessian_det(M2, x), True),
     ("stationary_phase.vandermonde_ratio_report", lambda x: sp.vandermonde_ratio_report(M2, x), True),
     ("stationary_phase.critical_data", sp.critical_data, True),
-    ("stationary_phase.critical_table", sp.critical_table, True),
     ("stationary_phase.matchings_phase_sum", lambda x: sp.matchings_phase_sum(x, 1.0), True),
     ("stationary_phase.phase_pfaffian_ratio", lambda x: sp.phase_pfaffian_ratio(x, 1.0), True),
     ("stationary_phase.laplace_leading", lambda x: sp.laplace_leading(x, 1.0), True),
@@ -94,6 +93,10 @@ TIME_CASES = [
 BIN_CASES = [
     pytest.param([NAN, 0.0, 0.5, 1.0], id="nan-edge"),
     pytest.param([[0.0, 0.5], [NAN, 2.0]], id="nan-interval"),
+    pytest.param([-INF, 0.0, 0.5, 1.0], id="-inf-edge"),
+    pytest.param([0.0, 0.5, 1.0, INF], id="inf-edge"),
+    pytest.param([[-INF, 0.0], [0.5, 1.0]], id="-inf-interval"),
+    pytest.param([[0.0, 0.5], [1.0, INF]], id="inf-interval"),
     pytest.param([], id="empty"),
     pytest.param([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0]], id="shape-2x3"),
 ]
@@ -167,9 +170,12 @@ def test_bad_finite_difference_steps_are_usage_errors(call, h):
         call(h)
 
 
-def test_infinite_bin_edges_are_half_lines():
-    # only NaN is refused: a bin edge at +-inf makes a half-line bin
-    dens = sampler.estimate_signed_density(6, [-INF, 0.0, INF], 2, 50, 3)
+def test_far_finite_bin_edges_stand_in_for_half_lines():
+    # a half-line cell could never match its closed form, so +-inf is refused;
+    # an edge far out covers the same eigenvalues
+    with pytest.raises(UsageError, match="bin edges must be finite"):
+        sampler.estimate_signed_density(6, [-INF, 0.0, INF], 2, 50, 3)
+    dens = sampler.estimate_signed_density(6, [-1e6, 0.0, 1e6], 2, 50, 3)
     assert np.isfinite(dens.weighted_counts[0, 1])
 
 

@@ -4,13 +4,17 @@ Importing ``ginlab.cli`` loads neither scipy nor numpy.random, and no
 campaign loads scipy.  The one scipy import left sits in the function that
 calls it, ``sampler.expected_real_count``, so that function runs here
 against values recorded while the import was still at module level.
+No module imports a name it neither uses nor has rebound by the benchmark.
 """
 
 import ast
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from ginlab.linalg import sign_det
 from ginlab.sampler import expected_real_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
 def _python(code: str, cwd) -> str:
@@ -112,6 +117,41 @@ def test_no_ginlab_path_loads_scipy_linalg(tmp_path):
         tmp_path,
     )
     assert out.splitlines()[-1] == "False"
+
+
+def _imported_names(tree) -> set:
+    """The names that the import statements anywhere in ``tree`` bind
+    (``from __future__`` imports are compiler switches and bind none)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def test_every_imported_name_is_used_or_rebound_by_the_benchmark():
+    # bench/layers.py is run from its source, as in test_bench_names; a name
+    # it rebinds on a module is read there at call time, so it is kept
+    layers = runpy.run_path(str(LAYERS_PY))
+    g = SimpleNamespace(**{name: importlib.import_module("ginlab." + name) for name in layers["LAYERS"]})
+    rebound = {
+        (container.__name__, key)
+        for _span, bindings in layers["span_table"](g)
+        for container, key in bindings
+        if not isinstance(container, dict)
+    }
+    unused = []
+    for path in sorted(Path(SRC, "ginlab").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.stem, name)
+            for name in sorted(_imported_names(tree) - used)
+            if ("ginlab." + path.stem, name) not in rebound
+        ]
+    assert unused == []
 
 
 #: float.hex of expected_real_count(1..10), recorded with scipy.special

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginlab import stationary_phase
 from ginlab.group_integrals import exact_shape, integral_quadrature_k2, vandermonde
 from ginlab.pfaffian import (
     canonical_matching,
@@ -14,10 +15,8 @@ from ginlab.pfaffian import (
     matching_sign,
 )
 from ginlab.stationary_phase import (
-    CriticalDatum,
     _argmax_with_tie_check,
     critical_data,
-    critical_table,
     critical_value,
     find_max_matching,
     hessian_spectrum,
@@ -130,17 +129,21 @@ def test_sqrt_abs_hessian_det_scaling():
 
 
 def test_critical_data_table():
-    data = critical_data(X4)
-    assert len(data) == 3
-    assert {d.signature for d in data} == {-4, 0, 4}
-    with pytest.raises(ValueError):
-        CriticalDatum(
-            matching=M0,
-            critical_value=28.0,
-            hessian_eigenvalues=((-6.0, 2), (-8.0, 2)),
-            signature=0,  # inconsistent with zero inversions
-            inversions=0,
-        )
+    table = critical_data(X4)
+    assert len(table.words) == 3
+    assert set(table.signatures.tolist()) == {-4, 0, 4}
+
+
+def test_critical_data_refuses_a_signature_off_its_inversion_count(monkeypatch):
+    matching_table = stationary_phase._matching_table
+
+    def off_by_one(two_k):
+        words, inv = matching_table(two_k)
+        return words, inv + 1
+
+    monkeypatch.setattr(stationary_phase, "_matching_table", off_by_one)
+    with pytest.raises(ValueError, match="signature inconsistent with inversion count"):
+        critical_data(X4)
 
 
 def test_phase_sum_single_pair():
@@ -180,15 +183,12 @@ def reference_phase_sum(x, t):
 
 
 @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
-def test_phase_sum_and_critical_data_match_the_matching_loop_bit_for_bit(two_k):
+def test_phase_sum_matches_the_matching_loop_bit_for_bit(two_k):
     rng = np.random.default_rng(40 + two_k)
     for t in (0.35, 1.3):
         x = random_ordered(rng, two_k, scale=2.0)
         got, expected = matchings_phase_sum(x, t), reference_phase_sum(x, t)
         assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
-    data = critical_data(x)
-    assert [d.matching for d in data] == enumerate_matchings(two_k)
-    assert [d.inversions for d in data] == [inversions(m) for m in enumerate_matchings(two_k)]
 
 
 def scalar_rows(x):
@@ -232,7 +232,7 @@ ordered_points = st.tuples(
 def test_table_matches_the_scalar_loop_bit_for_bit(x, t):
     expected = scalar_rows(x)
     names, values, invs, sigs, spectra, dets, logs = (list(c) for c in zip(*expected))
-    table = critical_table(x)
+    table = critical_data(x)
     assert table.names() == names
     assert hexes(table.critical_values) == hexes(values)
     assert table.inversions.tolist() == invs
@@ -240,12 +240,6 @@ def test_table_matches_the_scalar_loop_bit_for_bit(x, t):
     assert [hexes(row) for row in table.hessian_eigenvalues] == [hexes(row) for row in spectra]
     assert hexes(table.sqrt_abs_hessian_dets) == hexes(dets)
     assert hexes(table.log2_prefactors) == hexes(logs)
-    data = critical_data(x)
-    assert [str(d.matching) for d in data] == names
-    assert hexes(d.critical_value for d in data) == hexes(values)
-    assert [d.inversions for d in data] == invs
-    assert [d.signature for d in data] == sigs
-    assert [hexes(v for v, _mult in d.hessian_eigenvalues) for d in data] == [hexes(r) for r in spectra]
     assert find_max_matching(x) == scalar_max_matching(x)
     got, want = matchings_phase_sum(x, t), reference_phase_sum(x, t)
     assert hexes((got.real, got.imag)) == hexes((want.real, want.imag))
@@ -254,7 +248,7 @@ def test_table_matches_the_scalar_loop_bit_for_bit(x, t):
 def test_underflowing_hessian_raises_naming_the_matching():
     x = (0.0, 1e-170, 2e-170, 3e-170)
     message = re.escape("zero Hessian eigenvalue for (1,2)(3,4)")
-    for call in (critical_table, critical_data, lambda x: signature(M0, x)):
+    for call in (critical_data, lambda x: signature(M0, x)):
         with pytest.raises(ValueError, match=message):
             call(x)
 
