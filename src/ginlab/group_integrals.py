@@ -19,7 +19,10 @@ upper-triangular entries carry (x_j - x_i), positive for ordered input.
 
 Monte Carlo draws come in blocks of HAAR_BLOCK unitaries, block b from the
 RNG stream keyed by (seed, b), and the per-draw values are reduced in index
-order: an estimate is fixed, bit for bit, by its seed and HAAR_BLOCK.  For
+order: an estimate is fixed, bit for bit, by its seed and HAAR_BLOCK.  Each
+block's Gaussians are drawn at once, then run through QR and the trace in
+chunks of _HAAR_CHUNK draws; every step after the draw treats each draw on
+its own, so the chunk width sets the memory held, never a bit.  For
 two points the integrand is constant over the group, and the integral is
 computed in closed form.
 
@@ -40,20 +43,39 @@ from .pfaffian import canonical_symplectic, pfaffian
 from .sampler import Estimate, _check_samples, _estimate, _moment_numerator
 
 HAAR_BLOCK = 4096
+_HAAR_CHUNK = 512  # draws per QR and trace pass; changes memory, not bits
 UNITARITY_TOL = 1e-12
 
 
-def haar_unitaries(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A (count, k, k) stack of independent Haar unitaries.
+def _haar_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill ``out`` (2, count, k, k) with the Gaussians of ``count`` unitaries.
 
-    QR of complex Gaussian matrices with the column phases fixed by the
-    diagonal of R; without the phase correction the distribution is not
-    Haar.
+    ``out[0]`` then ``out[1]`` are, bit for bit, ``rng.normal(size=(count,
+    k, k))`` drawn twice: the same standard normals plus the 0.0 that
+    ``normal`` adds as its ``loc`` (-0.0 becomes +0.0).
     """
-    a = (rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
+    rng.standard_normal(out=out[0])
+    rng.standard_normal(out=out[1])
+    out += 0.0
+    return out
+
+
+def _haar_from_normals(ar: np.ndarray, ai: np.ndarray) -> np.ndarray:
+    """The (count, k, k) Haar unitaries of real and imaginary Gaussian parts.
+
+    QR of the complex Gaussian matrices with the column phases fixed by the
+    diagonal of R; without the phase correction the distribution is not
+    Haar.  Each matrix is factored on its own, so a slice of the Gaussians
+    gives the same slice of the unitaries.
+    """
+    q, r = np.linalg.qr((ar + 1j * ai) / np.sqrt(2.0))
     d = np.einsum("mii->mi", r)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitaries(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, k, k) stack of independent Haar unitaries drawn from ``rng``."""
+    return _haar_from_normals(*_haar_normals(np.empty((2, count, k, k)), rng))
 
 
 def to_skew_unitary(u: np.ndarray) -> np.ndarray:
@@ -149,8 +171,12 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
     Returns a list of lists of Estimates, indexed [config][t].  The draws
     are keyed by blocks of HAAR_BLOCK unitaries, read at call time: block b
     comes from stream(seed, b), so another block size draws other unitaries.
+    A block's Gaussians are drawn into one buffer, then go through QR and the
+    trace _HAAR_CHUNK draws at a time.  Each matrix is factored on its own
+    and every later step is elementwise or a sum within one draw, so the
+    chunk width bounds the temporaries held and changes no bit.
 
-    Each block of unitaries is copied once into real and imaginary planes
+    Each chunk of unitaries is copied once into real and imaginary planes
     with the draw index last, so every product is one whole-array pass.
     The planes give, bit for bit, the traces of the reference form: H from
     the three-operand einsum "mij,jk,mlk->mil" of U, Diag(x) and conj(U),
@@ -170,7 +196,8 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
     ts = [positive_time(t) for t in ts]
     _check_samples(samples)
     tr_vals = np.empty((len(configs), samples))
-    width = min(HAAR_BLOCK, samples)
+    normals = np.empty((2, min(HAAR_BLOCK, samples), k, k))
+    width = min(_HAAR_CHUNK, HAAR_BLOCK, samples)
     planes = np.empty((2, k, k, width))
     scratch = (
         np.empty((2, k, k, width)),
@@ -182,16 +209,26 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
     b = 0
     while done < samples:
         take = min(HAAR_BLOCK, samples - done)
-        u = haar_unitaries(k, take, stream(seed, b))
-        re, im = planes[..., :take]
-        np.copyto(re, u.real.transpose(2, 1, 0))
-        np.copyto(im, u.imag.transpose(2, 1, 0))
-        del u  # not held through the next block's QR
-        for ci, x in enumerate(configs):
-            _dual_gap_norms(re, im, x, scratch, tr_vals[ci, done:done + take])
+        ar, ai = _haar_normals(normals[:, :take], stream(seed, b))
+        for lo in range(0, take, width):
+            hi = min(lo + width, take)
+            u = _haar_from_normals(ar[lo:hi], ai[lo:hi])
+            re, im = planes[..., :hi - lo]
+            np.copyto(re, u.real.transpose(2, 1, 0))
+            np.copyto(im, u.imag.transpose(2, 1, 0))
+            del u  # not held through the next chunk's QR
+            for ci, x in enumerate(configs):
+                _dual_gap_norms(re, im, x, scratch, tr_vals[ci, done + lo:done + hi])
         done += take
         b += 1
-    return [[_estimate(np.exp(-tr / (2.0 * t)), seed) for t in ts] for tr in tr_vals]
+    vals = np.empty(samples)  # exp(-tr / (2t)), one operation at a time in one array
+    return [
+        [
+            _estimate(np.exp(np.divide(np.negative(tr, out=vals), 2.0 * t, out=vals), out=vals), seed)
+            for t in ts
+        ]
+        for tr in tr_vals
+    ]
 
 
 def integral_quadrature_k2(x1: float, x2: float, t: float) -> float:

@@ -159,6 +159,28 @@ def test_stationary_phase_degenerate_hessian_exits_1(tmp_path, capsys):
     assert "zero Hessian eigenvalue for (1,2)(3,4)" in capsys.readouterr().err
 
 
+def test_signature_off_its_inversion_count_fails_its_check(tmp_path, capsys, monkeypatch):
+    # inversion counts off by two: the signatures, counted from the Hessian,
+    # no longer match 4 * inversions - 2K(K-1), while every other check, which
+    # reads only the inversions' parity, still passes
+    matching_table = stationary_phase._matching_table
+
+    def off_by_two(two_k):
+        words, inv = matching_table(two_k)
+        return words, inv + 2
+
+    monkeypatch.setattr(stationary_phase, "_matching_table", off_by_two)
+    out = tmp_path / "sp.csv"
+    assert run_cli(["stationary-phase", "--out", str(out)]) == 1
+    assert "FAIL signature_identity" in capsys.readouterr().out
+    checks = read_manifest(str(out) + ".manifest.json")["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("signature_identity", False),
+        ("phase_sum_equals_pfaffian", True),
+        ("max_matching_consecutive", True),
+    ]
+
+
 def test_matrix_integral_k2(tmp_path, capsys):
     out = tmp_path / "mi.csv"
     assert run_cli(["matrix-integral", "--k", "2", "--out", str(out)]) == 0
@@ -361,16 +383,23 @@ def test_lemma1_campaign(tmp_path, capsys):
 #: with the absolute duality constant reported, not asserted
 MC_DENSITY_SHA256 = "3225492a67b52595366af6e4de18900dfaec658497862336857211eba967c9d1"
 LEMMA1_SHA256 = "d7872cb39a4454f1d8a980da3e8f3c0c65fdd747e2cd4e4f804c7a5e24ecb47c"
+#: sha256 of the default matrix-integral --k 4 result file, recorded when each
+#: Haar block went through QR and the trace in one pass
+MATRIX_INTEGRAL_K4_SHA256 = "148d0bc739049327ef5dea02debfc1c012cac0df4ec17a744769ee6efb7e3324"
 
 
 @pytest.mark.parametrize(
-    "campaign, digest",
-    [("mc-density", MC_DENSITY_SHA256), ("lemma1", LEMMA1_SHA256)],
-    ids=["mc-density", "lemma1"],
+    "argv, digest",
+    [
+        (["mc-density"], MC_DENSITY_SHA256),
+        (["lemma1"], LEMMA1_SHA256),
+        (["matrix-integral", "--k", "4"], MATRIX_INTEGRAL_K4_SHA256),
+    ],
+    ids=["mc-density", "lemma1", "matrix-integral-k4"],
 )
-def test_monte_carlo_result_bytes_are_pinned(tmp_path, campaign, digest):
-    out = tmp_path / f"{campaign}.csv"
-    assert run_cli([campaign, "--out", str(out)]) == 0
+def test_monte_carlo_result_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / f"{argv[0]}.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -296,6 +297,48 @@ def test_integral_mc_grid_matches_einsum_trace_bitwise(monkeypatch, k, seed):
     want = _einsum_grid(configs, ts, 2000, seed, 777)
     hexes = [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in got]
     assert hexes == [[(e.mean.hex(), e.stderr.hex()) for e in row] for row in want]
+
+
+def test_haar_unitaries_keep_the_bits_of_two_normal_calls():
+    for k, m in ((2, 5), (4, 777), (6, 33)):
+        # the form drawn before the Gaussians went into one buffer
+        rng = stream(21, k)
+        a = (rng.normal(size=(m, k, k)) + 1j * rng.normal(size=(m, k, k))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(a)
+        d = np.einsum("mii->mi", r)
+        want = q * (d / np.abs(d))[:, None, :]
+        assert haar_unitaries(k, m, stream(21, k)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_integral_mc_grid_bits_do_not_depend_on_the_chunk_width(monkeypatch, k):
+    rng = np.random.default_rng(10 + k)
+    configs = [np.sort(rng.uniform(-2.0, 2.0, k)), np.linspace(-1.0, 1.0, k)]
+    ts = (0.7, 3.0)
+    # 2000 = 777 + 777 + 446: the last block is short, and so is the last
+    # chunk of a block at widths 7 and 512
+    monkeypatch.setattr(group_integrals, "HAAR_BLOCK", 777)
+    hexes = []
+    for chunk in (1, 7, group_integrals._HAAR_CHUNK, 777, 5000):
+        monkeypatch.setattr(group_integrals, "_HAAR_CHUNK", chunk)
+        got = integral_mc_grid(configs, ts, 2000, 5)
+        hexes.append([[(e.mean.hex(), e.stderr.hex()) for e in row] for row in got])
+    assert all(h == hexes[0] for h in hexes[1:])
+
+
+def test_integral_mc_grid_holds_one_chunk_of_temporaries():
+    configs = [tuple(np.asarray((-0.9, -0.3, 0.3, 0.9)) * s) for s in (1.0, 0.75, 1.25)]
+    ts = (0.9, 1.3, 2.0)
+    integral_mc_grid(configs, ts, 64, 0)  # one-time allocations are not the grid's
+    tracemalloc.start()
+    try:
+        integral_mc_grid(configs, ts, 100_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak holds 2.4 MB of traces, 1 MB of Gaussians and one chunk's QR;
+    # a whole 4096-draw block through QR at once peaked at 10.9 MB
+    assert peak < 7e6
 
 
 def test_charpoly_quadrature_small_n_closed_forms():
