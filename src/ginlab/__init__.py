@@ -4,12 +4,13 @@ over skew-symmetric unitaries, stationary-phase combinatorics and the
 heat-flow characterization of the signed eigenvalue density).
 
 Importing the package, or ``ginlab.cli``, loads neither scipy nor
-numpy.random, and no campaign loads scipy: erfc is computed in ``kernel``,
-the one scipy import sits in ``sampler.expected_real_count``, and
-numpy.random loads with the first RNG stream."""
+numpy.random, and nothing in the package imports scipy: erfc and the exact
+real count are computed in ``kernel``, and numpy.random loads with the first
+RNG stream."""
 
 from .kernel import (
     correlation,
+    expected_real_count,
     gauss_tail,
     kernel_block,
     moment_constant,
@@ -34,7 +35,6 @@ from .sampler import (
     estimate_real_count,
     estimate_signed_density,
     estimate_spin_moments,
-    expected_real_count,
     sample_ginoe,
     spin,
 )

@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +35,6 @@ from .pfaffian import pfaffian, pfaffian_matchings
 from .sampler import (
     DUALITY_HALFWIDTH,
     ENTRY_VARIANCE,
-    _duality_rhs,
     duality_check,
     estimate_signed_density,
     estimate_spin_moments,
@@ -252,35 +250,6 @@ def run_mc_spins(cfg):
     return columns, rows, checks
 
 
-def _bin_average(f, lo1, hi1, lo2, hi2) -> float:
-    """f averaged over the cell [lo1, hi1] x [lo2, hi2] by 5 x 5 Gauss-Legendre;
-    ``f`` maps a column and a row of nodes to their values, added in row order."""
-    u, w = np.polynomial.legendre.leggauss(5)
-    x1 = 0.5 * (hi1 - lo1) * u + 0.5 * (hi1 + lo1)
-    x2 = 0.5 * (hi2 - lo2) * u + 0.5 * (hi2 + lo2)
-    total = 0.0
-    for term in (f(x1[:, None], x2[None, :]) * np.outer(w, w)).flat:
-        total += term
-    return float(total * 0.25)
-
-
-def _pair_density(x1, x2):
-    """pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2), the n = infinity signed pair density."""
-    d = x1 - x2
-    return kernel.moment_constant(2) / 2.0 * (d * np.exp(-d * d))
-
-
-def _rhs_bin_average(n: int, lo1, hi1, lo2, hi2) -> float:
-    """sampler._duality_rhs(n, ., .), which is -(pi/4) rho_2^n, averaged over a cell."""
-    rhs_at = np.vectorize(partial(_duality_rhs, n), otypes=[float])
-    return _bin_average(rhs_at, lo1, hi1, lo2, hi2)
-
-
-def _pair_density_n(n: int, lo1, hi1, lo2, hi2) -> float:
-    """The finite-n signed pair density rho_2^n averaged over a cell."""
-    return -4.0 / np.pi * _rhs_bin_average(n, lo1, hi1, lo2, hi2)
-
-
 def run_mc_density(cfg):
     if cfg["n"] < 2:  # one eigenvalue has no pairs: every cell would read 0 +- 0
         raise UsageError(f"mc-density needs n >= 2, got {cfg['n']}")
@@ -294,12 +263,12 @@ def run_mc_density(cfg):
     for i in range(m):
         for j in range(i + 1, m):
             cell = (*dens.intervals[i], *dens.intervals[j])
-            closed = _bin_average(_pair_density, *cell)
+            closed = kernel.cell_average(kernel.pair_density, *cell)
             est = dens.values[i, j]
             se = dens.stderr[i, j]
             z = _zscore(est, closed, se)
             rows.append((*cell, est, se, closed, z))
-            zs_n.append(_zscore(est, _pair_density_n(cfg["n"], *cell), se))
+            zs_n.append(_zscore(est, kernel.pair_density_n_average(cfg["n"], *cell), se))
     checks = [
         _max_check("signed_density_within_3_stderr", [r[-1] for r in rows], 3.0),
         _max_check("finite_n_density_within_3_stderr", zs_n, 3.0),
@@ -316,7 +285,7 @@ def _duality_constant_z(reports) -> float:
     zs = []
     for r in reports:
         (x1, x2), h = r.points, DUALITY_HALFWIDTH
-        rhs = _rhs_bin_average(r.n, x1 - h, x1 + h, x2 - h, x2 + h)
+        rhs = kernel.lemma1_rhs_average(r.n, x1 - h, x1 + h, x2 - h, x2 + h)
         zs.append((r.lhs / rhs + 4.0 / np.pi) * abs(rhs) / r.lhs_stderr)
     return float(sum(zs) / np.sqrt(len(zs)))
 

@@ -28,7 +28,7 @@ computed in closed form.
 
 The exact two-point determinant moment E_n[det(M - x1) det(M - x2)], the
 oracle for the Monte Carlo moment, is here too; its integer sum is in
-:mod:`.sampler`.
+:mod:`.kernel`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ import numpy as np
 
 from ._rng import stream
 from .errors import UsageError, point_array, positive_time
+from .kernel import moment_numerator
 from .pfaffian import canonical_symplectic, pfaffian
-from .sampler import Estimate, _check_samples, _estimate, _moment_numerator
+from .sampler import Estimate, _check_samples, _estimate
 
 HAAR_BLOCK = 4096
 _HAAR_CHUNK = 512  # draws per QR and trace pass; changes memory, not bits
@@ -332,11 +333,11 @@ def charpoly_moment_quadrature(n: int, x1: float, x2: float) -> float:
 
         sum_{k=0}^{n} C(n, k) (x1*x2)^(n-k) k! / 2^k = (n!/2^n) e_n(2 x1 x2).
 
-    :func:`.sampler._moment_numerator` forms it in integers and rounds
+    :func:`.kernel.moment_numerator` forms it in integers and rounds
     once: the correctly rounded moment at the double x1*x2.
     """
     if n < 1:
         raise UsageError(f"matrix size must be positive, got {n}")
     x1, x2 = point_array((x1, x2))
-    total, b = _moment_numerator(n, x1, x2)
+    total, b = moment_numerator(n, x1, x2)
     return total / (2 * b) ** n

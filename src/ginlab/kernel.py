@@ -1,4 +1,4 @@
-"""Closed-form bulk-limit statistics of real eigenvalues.
+"""Closed-form laws of real eigenvalues: the bulk limit, and at finite n.
 
 The limiting point process is Pfaffian: the k-point correlation is the
 Pfaffian of a 2k x 2k antisymmetric matrix assembled from a 2x2 kernel
@@ -20,6 +20,11 @@ pairs scales by c**(k/2) when every entry scales by c, and
 The density whose integrals give the spin moments, and which the Monte
 Carlo estimator measures, is Pf[rho_2(x_i, x_j)]: 2**(-k/2) times
 signed_density, 0.5 at k = 2 and 0.25 at k = 4.
+
+At finite n the laws are finite sums: E_m[det(M - x1) det(M - x2)] =
+(m!/2**m) e_m(2 x1 x2) over m x m draws, e_m(z) = sum_{j<=m} z**j / j!, gives
+rho_2^n(x1, x2) = pi**-0.5 (x1 - x2) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2).  As
+n -> infinity, rho_2^n -> rho_2 with x1, x2 unscaled: no dilation enters.
 
 erfc is computed here, by _erfc, a port of the Cephes ndtr.c erfc/erf pair
 that scipy.special ships: the same coefficients, Horner steps, branch
@@ -203,3 +208,84 @@ def spin_correlation(points) -> float:
     a[i, j] = _erfc(srt[j] - srt[i])
     a = a - a.T
     return float(pfaffian(a))
+
+
+def pair_density(x1, x2):
+    """rho_2 = pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2), the n = infinity law, elementwise."""
+    d = x1 - x2
+    return moment_constant(2) / 2.0 * (d * np.exp(-d * d))
+
+
+def cell_average(f, lo1, hi1, lo2, hi2) -> float:
+    """f averaged over the cell [lo1, hi1] x [lo2, hi2] by 5 x 5 Gauss-Legendre;
+    ``f`` maps a column and a row of nodes to their values, added in row order."""
+    u, w = np.polynomial.legendre.leggauss(5)
+    x1 = 0.5 * (hi1 - lo1) * u + 0.5 * (hi1 + lo1)
+    x2 = 0.5 * (hi2 - lo2) * u + 0.5 * (hi2 + lo2)
+    total = 0.0
+    for term in (f(x1[:, None], x2[None, :]) * np.outer(w, w)).flat:
+        total += term
+    return float(total * 0.25)
+
+
+def moment_numerator(m: int, x1: float, x2: float) -> tuple:
+    """(N, b) with x1*x2 = a/b exactly, b a power of two, and
+    N = sum_{k<=m} perm(m, k) a^(m-k) b^k 2^(m-k): then E_m[det(M - x1)
+    det(M - x2)] = N / (2b)^m and e_m(2 x1 x2) = N / (m! b^m), each a
+    correctly rounded quotient of integers even where the terms cancel.
+    """
+    a, b = float(x1 * x2).as_integer_ratio()
+    # nested, with c = 2a: N = c^m + m b (c^(m-1) + (m-1) b (... + 1 b)), so
+    # each step multiplies by 2a and by i b instead of forming a power afresh
+    total, power = 1, 1
+    for i in range(1, m + 1):
+        power *= 2 * a
+        total = power + i * b * total
+    return total, b
+
+
+def lemma1_rhs(n: int, x1: float, x2: float) -> float:
+    """Lemma 1's right-hand side (:func:`.sampler.duality_check`), -(pi/4) rho_2^n(x1, x2):
+    V(x)/16 prod_k |S_{n-k}| pi**(-(n-k)/2) exp(-x_k**2) E_{n-2}[det(M - x1) det(M - x2)],
+    |S_m| the unit sphere area in R**(m+1), is by the duplication formula
+    (sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2), with e_{n-2} one
+    correctly rounded quotient of integers."""
+    total, b = moment_numerator(n - 2, x1, x2)
+    e_m = total / (math.factorial(n - 2) * b ** (n - 2))
+    return float(np.sqrt(np.pi) / 4.0 * (x2 - x1) * np.exp(-x1 ** 2 - x2 ** 2) * e_m)
+
+
+def lemma1_rhs_average(n: int, lo1, hi1, lo2, hi2) -> float:
+    """:func:`lemma1_rhs` averaged over a cell by :func:`cell_average`'s rule."""
+
+    def at_nodes(col, row):  # one integer sum per node, at Python floats
+        return np.array([[lemma1_rhs(n, a, b) for b in row.ravel().tolist()] for a in col.ravel().tolist()])
+
+    return cell_average(at_nodes, lo1, hi1, lo2, hi2)
+
+
+def pair_density_n_average(n: int, lo1, hi1, lo2, hi2) -> float:
+    """rho_2^n averaged over a cell: -4/pi times :func:`lemma1_rhs_average`."""
+    return -4.0 / np.pi * lemma1_rhs_average(n, lo1, hi1, lo2, hi2)
+
+
+def expected_real_count(n: int) -> float:
+    """Exact mean number of real eigenvalues of an n x n draw (1, sqrt(2),
+    1 + 1/sqrt(2), ... ~ sqrt(2n/pi)), by the sums of Edelman, Kostlan and
+    Shub (J. AMS 7, 1994), with (-1)!! = 0!! = 1:
+
+        even n: sqrt(2) * sum_{0 <= k < n/2} (4k-1)!!/(4k)!!
+        odd n:  1 + sqrt(2) * sum_{1 <= k <= (n-1)/2} (4k-3)!!/(4k-2)!!
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise UsageError(f"matrix size must be a positive integer, got {n!r}")
+    n = int(n)
+    top = 2 * n - 4
+    # S = sum (j-1)!!/j!! = sum C(j, j/2)/2^j over j = top, top-4, ... >= 0 is num/2^top,
+    # num by Horner in 2^4; 2 S^2 is rounded once and sqrt(2 S^2) once
+    num, c = 0, 1
+    for j in range(0, top + 1, 2):
+        if (top - j) % 4 == 0:
+            num = 16 * num + c
+        c = c * 4 * (j + 1) // (j + 2)
+    return n % 2 + math.sqrt(2 * num * num / 4**top)

@@ -5,17 +5,8 @@ Conventions
 * Matrix entries are iid N(0, 1/2), the density proportional to
   exp(-Tr M M^T).  ENTRY_VARIANCE records this, and every estimator works
   in the matrix units this normalization induces.
-* Under this normalization the bulk-limit closed forms of :mod:`.kernel`
-  apply at unit spacing with no rescaling: the bulk dilation is the
-  identity.  The moment E_m[det(M - x1) det(M - x2)] = (m!/2**m) e_m(2 x1 x2),
-  with e_m(z) = sum_{j<=m} z**j / j!, gives the finite-n signed pair density
-
-      rho_2^n(x1, x2) = pi**-0.5 (x1 - x2) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2),
-
-  of which :func:`duality_check`'s right-hand side is -(pi/4) times.  As
-  n -> infinity, e_{n-2}(2 x1 x2) -> exp(2 x1 x2) at the same coordinates,
-  so rho_2^n -> pi**-0.5 (x1 - x2) exp(-(x1 - x2)**2): the n = infinity form
-  is reached with x1, x2 unscaled, and no dilation x -> s x enters.
+* Under this normalization the closed forms of :mod:`.kernel`, in the bulk
+  and at finite n (derived there), apply at unit spacing with no rescaling.
   ``test_scaling_convention_protocol`` checks it against the candidate
   dilations {1/sqrt(2), 1, sqrt(2)} at several matrix sizes.
 * Every estimator draws sample ``i`` from the RNG stream keyed by
@@ -41,7 +32,6 @@ used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -49,6 +39,7 @@ import numpy as np
 
 from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
 from .errors import UsageError, point_array
+from .kernel import lemma1_rhs
 from .linalg import Spectrum, real_schur, sign_det
 
 ENTRY_VARIANCE = 0.5
@@ -354,42 +345,12 @@ def estimate_charpoly_moment(
 
 
 def estimate_real_count(n: int, samples: int, seed: int) -> Estimate:
-    """Mean number of real eigenvalues of an n x n draw."""
+    """Mean number of real eigenvalues of an n x n draw; the exact mean is
+    :func:`.kernel.expected_real_count`."""
     counts = [
         len(real_schur(_draw(n, rng)).real_eigenvalues) for rng in _draw_streams(n, samples, seed)
     ]
     return _estimate(np.array(counts, dtype=float), seed)
-
-
-def expected_real_count(n: int) -> float:
-    """Exact mean number of real eigenvalues of an n x n draw, the oracle for
-    :func:`estimate_real_count` (Edelman, Kostlan and Shub, J. AMS 7, 1994):
-
-        E_n = 1/2 + sqrt(2) * 2F1(1, -1/2; n; 1/2) / B(n, 1/2),
-
-    which is 1, sqrt(2) and 1 + 1/sqrt(2) at n = 1, 2, 3 and grows like sqrt(2n/pi).
-    """
-    from scipy.special import beta, hyp2f1
-
-    if n < 1:
-        raise UsageError(f"matrix size must be positive, got {n}")
-    return float(0.5 + np.sqrt(2.0) * hyp2f1(1.0, -0.5, n, 0.5) / beta(n, 0.5))
-
-
-def _moment_numerator(m: int, x1: float, x2: float) -> tuple:
-    """(N, b) with x1*x2 = a/b exactly, b a power of two, and
-    N = sum_{k<=m} perm(m, k) a^(m-k) b^k 2^(m-k): then E_m[det(M - x1)
-    det(M - x2)] = N / (2b)^m and e_m(2 x1 x2) = N / (m! b^m), each a
-    correctly rounded quotient of integers even where the terms cancel.
-    """
-    a, b = float(x1 * x2).as_integer_ratio()
-    # nested, with c = 2a: N = c^m + m b (c^(m-1) + (m-1) b (... + 1 b)), so
-    # each step multiplies by 2a and by i b instead of forming a power afresh
-    total, power = 1, 1
-    for i in range(1, m + 1):
-        power *= 2 * a
-        total = power + i * b * total
-    return total, b
 
 
 @dataclass(frozen=True)
@@ -407,15 +368,6 @@ class DualityReport:
     seed: int
 
 
-def _duality_rhs(n: int, x1: float, x2: float) -> float:
-    """(sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2), the right-hand
-    side of :func:`duality_check` at one pair of points."""
-    m = n - 2
-    total, b = _moment_numerator(m, x1, x2)
-    e_m = total / (math.factorial(m) * b**m)
-    return float(np.sqrt(np.pi) / 4.0 * (x2 - x1) * np.exp(-x1 ** 2 - x2 ** 2) * e_m)
-
-
 def duality_check(
     n: int,
     points,
@@ -426,16 +378,8 @@ def duality_check(
     """Ratio of the binned signed pair density to its determinant-moment formula.
 
     LHS: the (0, 1) cell of the binned signed density around the two points.
-    RHS: V(x) / 16 * prod_{k=1,2} |S_{n-k}| pi**(-(n-k)/2) exp(-x_k**2)
-         times E_{n-2}[det(M - x_1) det(M - x_2)] = ((n-2)!/2^(n-2))
-         e_{n-2}(2 x1 x2), |S_m| the unit sphere area in R**(m+1).  The
-         duplication formula cancels every Gamma function and factorial:
-
-             RHS = (sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2),
-
-         with e_m(z) = sum_{j<=m} z^j / j!: -(pi/4) times the finite-n signed
-         pair density.  e_{n-2} is one correctly rounded quotient of
-         integers, computed before any draw.
+    RHS: :func:`.kernel.lemma1_rhs` at the two points, -(pi/4) times the
+         finite-n signed pair density, computed before any draw.
 
     The bins are DUALITY_HALFWIDTH either side of each point.  The ratio
     should not depend on the configuration; against the RHS averaged over
@@ -453,7 +397,7 @@ def duality_check(
     if moment != "quadrature":
         raise UsageError(f"unknown moment method {moment!r}")
     _check_samples(samples)
-    rhs = _duality_rhs(n, pts[0], pts[1])
+    rhs = lemma1_rhs(n, pts[0], pts[1])
     bins = np.array([[pts[0] - DUALITY_HALFWIDTH, pts[0] + DUALITY_HALFWIDTH],
                      [pts[1] - DUALITY_HALFWIDTH, pts[1] + DUALITY_HALFWIDTH]])
     density = estimate_signed_density(n, bins, 2, samples, seed)

@@ -20,9 +20,9 @@ from ginlab.group_integrals import (
     vandermonde,
 )
 from ginlab.heat import initial_condition_check, residual_order, signed_density_t
-from ginlab.kernel import correlation, gauss_tail, spin_correlation
+from ginlab.kernel import correlation, expected_real_count, gauss_tail, spin_correlation
 from ginlab.pfaffian import enumerate_matchings, identity_matching, inversions, pfaffian, pfaffian_matchings
-from ginlab.sampler import duality_check, estimate_real_count, estimate_spin_moments, expected_real_count
+from ginlab.sampler import duality_check, estimate_real_count, estimate_spin_moments
 from ginlab.stationary_phase import (
     find_max_matching,
     matchings_phase_sum,

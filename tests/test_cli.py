@@ -3,25 +3,24 @@ import hashlib
 import json
 import math
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from ginlab import heat, kernel, stationary_phase
+from ginlab import heat, kernel, sampler, stationary_phase
 from ginlab.cli import (
     CAMPAIGNS,
-    _bin_average,
     _duality_constant_z,
     _max_check,
-    _pair_density,
-    _pair_density_n,
     _parse_bins,
     build_parser,
     main,
 )
-from ginlab.sampler import DUALITY_HALFWIDTH, _duality_rhs
+from ginlab.kernel import cell_average, lemma1_rhs, lemma1_rhs_average, pair_density, pair_density_n_average
+from ginlab.sampler import DUALITY_HALFWIDTH
 
 
 #: twelve points: within find_max_matching's cap, beyond the phase sum's
@@ -293,13 +292,13 @@ def test_finite_n_pair_density_is_the_bin_average_of_rho_2_n(n):
         want = integral / ((cell[1] - cell[0]) * (cell[3] - cell[2]))
         # the 5-node rule's own error on cells this wide is below 1e-7, far
         # under any Monte Carlo standard error it is compared with
-        assert _pair_density_n(n, *cell) == pytest.approx(want, rel=1e-6, abs=0)
+        assert pair_density_n_average(n, *cell) == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_finite_n_pair_density_tends_to_the_bulk_form():
     # at fixed points, as n grows
     cell = (-0.75, -0.375, 0.0, 0.375)
-    assert _pair_density_n(400, *cell) == pytest.approx(_bin_average(_pair_density, *cell), rel=1e-14)
+    assert pair_density_n_average(400, *cell) == pytest.approx(cell_average(pair_density, *cell), rel=1e-14)
 
 
 def _signed_density_loop(lo1, hi1, lo2, hi2):
@@ -336,7 +335,7 @@ def test_bin_average_of_the_pair_density_is_the_old_loop_bit_for_bit(family):
         else:
             lo1, w1, gap, w2 = (rng.uniform(*r) for r in CELL_FAMILIES[family])
             cell = (lo1, lo1 + w1, lo1 + w1 + gap, lo1 + w1 + gap + w2)
-        got = _bin_average(_pair_density, *cell)
+        got = cell_average(pair_density, *cell)
         assert got.hex() == _signed_density_loop(*cell).hex(), cell
 
 
@@ -358,7 +357,7 @@ def test_duality_constant_z_pools_row_offsets_from_minus_4_over_pi(shifts, poole
     reports = []
     for (x1, x2), s in zip(LEMMA1_POINTS, shifts):
         integral, _ = dblquad(
-            lambda b, a: _duality_rhs(n, a, b), x1 - h, x1 + h, x2 - h, x2 + h, epsabs=0, epsrel=1e-13
+            lambda b, a: lemma1_rhs(n, a, b), x1 - h, x1 + h, x2 - h, x2 + h, epsabs=0, epsrel=1e-13
         )
         rhs_bar = integral / (2 * h) ** 2
         assert rhs_bar > 0
@@ -386,21 +385,81 @@ LEMMA1_SHA256 = "d7872cb39a4454f1d8a980da3e8f3c0c65fdd747e2cd4e4f804c7a5e24ecb47
 #: sha256 of the default matrix-integral --k 4 result file, recorded when each
 #: Haar block went through QR and the trace in one pass
 MATRIX_INTEGRAL_K4_SHA256 = "148d0bc739049327ef5dea02debfc1c012cac0df4ec17a744769ee6efb7e3324"
+#: float.hex of each manifest check's measured value in the same runs: the
+#: finite-n z and the pooled z are computed beside the table, so the result
+#: bytes do not pin them
+MC_DENSITY_MEASURED = {
+    "signed_density_within_3_stderr": "0x1.601f5cb5ef45cp-1",
+    "finite_n_density_within_3_stderr": "0x1.601f5cb5e434ep-1",
+}
+LEMMA1_MEASURED = {
+    "duality_ratio_constant": "0x1.ae0998da5e85dp+0",
+    "duality_ratio_is_minus_4_over_pi": "-0x1.4148b14883ac1p-1",
+}
+MATRIX_INTEGRAL_K4_MEASURED = {"fitted_constant_spread": "0x1.37686ffbb4200p-9"}
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, measured",
     [
-        (["mc-density"], MC_DENSITY_SHA256),
-        (["lemma1"], LEMMA1_SHA256),
-        (["matrix-integral", "--k", "4"], MATRIX_INTEGRAL_K4_SHA256),
+        (["mc-density"], MC_DENSITY_SHA256, MC_DENSITY_MEASURED),
+        (["lemma1"], LEMMA1_SHA256, LEMMA1_MEASURED),
+        (["matrix-integral", "--k", "4"], MATRIX_INTEGRAL_K4_SHA256, MATRIX_INTEGRAL_K4_MEASURED),
     ],
     ids=["mc-density", "lemma1", "matrix-integral-k4"],
 )
-def test_monte_carlo_result_bytes_are_pinned(tmp_path, argv, digest):
+def test_monte_carlo_result_bytes_are_pinned(tmp_path, argv, digest, measured):
     out = tmp_path / f"{argv[0]}.csv"
     assert run_cli([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    checks = read_manifest(str(out) + ".manifest.json")["checks"]
+    assert {c["name"]: float(c["measured"]).hex() for c in checks} == measured
+
+
+def _flipped(law):
+    """``law`` with its sign flipped."""
+    return lambda *args: -law(*args)
+
+
+def _tilted(law):
+    """``law`` times exp(x1 + x2), a factor that differs between lemma1's rows."""
+    return lambda n, x1, x2: law(n, x1, x2) * math.exp(x1 + x2)
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, broken, check",
+    [
+        # rho_2^n with its sign flipped: every cell's finite-n z grows, while
+        # the bulk law the other check reads is untouched
+        (["mc-density"], kernel, "pair_density_n_average", _flipped, "finite_n_density_within_3_stderr"),
+        # the bin-averaged RHS with its sign flipped: the pooled ratio reads
+        # +4/pi, and the per-row ratios stay equal to each other
+        (["lemma1"], kernel, "lemma1_rhs", _flipped, "duality_ratio_is_minus_4_over_pi"),
+        # the per-row RHS that duality_check reads, scaled by a factor that
+        # depends on the points: the rows' ratios no longer agree
+        (["lemma1"], sampler, "lemma1_rhs", _tilted, "duality_ratio_constant"),
+    ],
+    ids=["finite-n-density", "minus-4-over-pi", "ratio-constant"],
+)
+def test_a_broken_finite_n_law_fails_its_check(tmp_path, capsys, monkeypatch, argv, module, name, broken, check):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    out = tmp_path / f"{argv[0]}.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    assert f"FAIL {check}" in capsys.readouterr().out
+    failed = [c["name"] for c in read_manifest(str(out) + ".manifest.json")["checks"] if not c["passed"]]
+    assert failed == [check]
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_rhs_average_is_the_vectorized_rhs_bit_for_bit(n):
+    # how the campaign averaged the RHS before the law moved to kernel:
+    # np.vectorize over the nodes, one pair of Python floats per call
+    rhs_at = np.vectorize(partial(lemma1_rhs, n), otypes=[float])
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        lo1, lo2 = rng.uniform(-2.0, 2.0, 2)
+        cell = (lo1, lo1 + rng.uniform(0.01, 1.0), lo2, lo2 + rng.uniform(0.01, 1.0))
+        assert lemma1_rhs_average(n, *cell).hex() == cell_average(rhs_at, *cell).hex(), cell
 
 
 @pytest.mark.parametrize(

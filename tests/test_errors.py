@@ -128,6 +128,7 @@ def test_nan_bin_edges_are_usage_errors(no_draws, bins):
 #: (name, a call whose parameters other than points and times are refused)
 PARAMETER_TAKERS = [
     ("sampler.sample_ginoe-n-0", lambda: sampler.sample_ginoe(0, np.random.default_rng(1))),
+    ("kernel.expected_real_count-n-2.5", lambda: kernel.expected_real_count(2.5)),
     ("sampler.duality_check-points-too-close", lambda: sampler.duality_check(10, (0.1, 0.2), 100, 1)),
     ("sampler.duality_check-moment-unknown", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="x")),
     ("sampler.duality_check-moment-mc", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="mc")),

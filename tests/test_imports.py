@@ -1,14 +1,14 @@
-"""The import contract, and the bits of every function that imports scipy itself.
+"""The import contract, and the bits of the exact real count.
 
 Importing ``ginlab.cli`` loads neither scipy nor numpy.random, and no
-campaign loads scipy.  The one scipy import left sits in the function that
-calls it, ``sampler.expected_real_count``, so that function runs here
-against values recorded while the import was still at module level.
+module in the package imports scipy, so no ginlab call loads it.  The exact
+mean real count is pinned by its bits and checked against 60-digit mpmath.
 No module imports a name it neither uses nor has rebound by the benchmark.
 """
 
 import ast
 import importlib
+import math
 import os
 import runpy
 import subprocess
@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 
-from ginlab.kernel import gauss_tail, spin_correlation
+from ginlab.kernel import expected_real_count, gauss_tail, spin_correlation
 from ginlab.linalg import sign_det
-from ginlab.sampler import expected_real_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -45,46 +45,37 @@ def test_importing_the_cli_loads_neither_scipy_nor_numpy_random(tmp_path):
     assert out.strip() == "[]"
 
 
-def test_campaigns_without_scipy_functions_never_load_scipy(tmp_path):
+def test_campaigns_and_the_real_count_never_load_scipy(tmp_path):
     out = _python(
         "import sys\n"
+        "from ginlab import estimate_real_count, expected_real_count\n"
         "from ginlab.cli import main\n"
         "for argv in (['pfaffian-selftest'], ['kernel-table'], ['mc-spins'], ['mc-density'],\n"
         "             ['lemma1', '--n', '6', '--samples', '5000'], ['matrix-integral', '--k', '2'],\n"
         "             ['stationary-phase'], ['heat-check']):\n"
         "    assert main([*argv, '--out', argv[0] + '.csv']) == 0, argv\n"
+        "expected_real_count(1000)\n"
+        "estimate_real_count(10, 50, 1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path,
     )
     assert out.splitlines()[-1] == "[]"
 
 
-def _scipy_imports(node, fn=None):
-    """(innermost enclosing function or None, module) of each scipy import under ``node``."""
+def test_no_module_imports_scipy():
+    # every import statement, at module level or inside a function
     found = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            found += [(fn, a.name) for a in child.names if a.name.split(".")[0] == "scipy"]
-        elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module.split(".")[0] == "scipy":
-            found.append((fn, child.module))
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
-        found += _scipy_imports(child, inner)
-    return found
-
-
-def test_the_only_scipy_import_is_in_expected_real_count():
-    # every campaign runs without scipy; expected_real_count is on no
-    # campaign path, and its bits are pinned below
-    found = [
-        (path.stem, *imp)
-        for path in sorted(Path(SRC, "ginlab").glob("*.py"))
-        for imp in _scipy_imports(ast.parse(path.read_text()))
-    ]
-    assert found == [("sampler", "expected_real_count", "scipy.special")]
+    for path in sorted(Path(SRC, "ginlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+                found.append((path.stem, node.module))
+    assert found == []
 
 
 def test_the_duality_check_loads_neither_group_integrals_nor_scipy(tmp_path):
-    # its exact moment is a sum in sampler: no import cycle through group_integrals
+    # its exact moment is a sum in kernel: no import cycle through group_integrals
     out = _python(
         "import sys\n"
         "from ginlab.sampler import duality_check\n"
@@ -154,17 +145,29 @@ def test_every_imported_name_is_used_or_rebound_by_the_benchmark():
     assert unused == []
 
 
-#: float.hex of expected_real_count(1..10), recorded with scipy.special
-#: imported at module level
+#: float.hex of expected_real_count(1..10), recorded from the
+#: Edelman-Kostlan-Shub sums in integers
 EXPECTED_REAL_COUNT_HEX = [
-    "0x1.0000000000001p+0", "0x1.6a09e667f3bcep+0", "0x1.b504f333f9de7p+0", "0x1.f1cd9cceef23cp+0",
-    "0x1.1314059a3b04cp+1", "0x1.2a6628e7ade4ap+1", "0x1.3fa03d7405828p+1", "0x1.533c06c4a7829p+1",
-    "0x1.658b66e5c8b9bp+1", "0x1.76c87d9f4e864p+1",
+    "0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0", "0x1.b504f333f9de6p+0", "0x1.f1cd9cceef239p+0",
+    "0x1.1314059a3b04bp+1", "0x1.2a6628e7ade4ap+1", "0x1.3fa03d7405827p+1", "0x1.533c06c4a7828p+1",
+    "0x1.658b66e5c8b9ap+1", "0x1.76c87d9f4e864p+1",
 ]
 
 
 def test_expected_real_count_bits_are_pinned():
     assert [expected_real_count(n).hex() for n in range(1, 11)] == EXPECTED_REAL_COUNT_HEX
+
+
+def test_expected_real_count_is_within_2_ulp_of_mpmath():
+    # the hypergeometric form, 1/2 + sqrt(2) 2F1(1, -1/2; n; 1/2) / B(n, 1/2),
+    # at 60 digits: independent of the sums the package evaluates
+    assert expected_real_count(1) == 1.0
+    assert expected_real_count(2) == math.sqrt(2.0)
+    with mpmath.workdps(60):
+        for n in [*range(1, 60), 100, 200, 400, 1000]:
+            got = expected_real_count(n)
+            exact = mpmath.mpf(0.5) + mpmath.sqrt(2) * mpmath.hyp2f1(1, -0.5, n, 0.5) / mpmath.beta(n, 0.5)
+            assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(got), n
 
 
 def test_erfc_sites_and_sign_det_run():

@@ -14,7 +14,7 @@ from ginlab import group_integrals
 from ginlab._rng import stream, streams
 from ginlab.errors import UsageError
 from ginlab.group_integrals import charpoly_moment_quadrature, integral_mc_grid, vandermonde
-from ginlab.kernel import signed_density, spin_correlation
+from ginlab.kernel import expected_real_count, lemma1_rhs, moment_numerator, signed_density, spin_correlation
 from ginlab.linalg import Spectrum, real_schur
 from ginlab.sampler import (
     DUALITY_HALFWIDTH,
@@ -23,16 +23,13 @@ from ginlab.sampler import (
     GinOESample,
     _draw,
     _draw_streams,
-    _duality_rhs,
     _fill_draws,
-    _moment_numerator,
     _shifted_slogdets,
     _spin_table,
     _spins,
     duality_check,
     estimate_charpoly_moment,
     estimate_real_count,
-    expected_real_count,
     estimate_signed_density,
     estimate_spin_moments,
     sample_ginoe,
@@ -317,7 +314,7 @@ def test_duality_check_computes_the_exact_moment_before_drawing(monkeypatch):
         raise Sentinel
 
     monkeypatch.setattr("ginlab.sampler.streams", refuse)
-    monkeypatch.setattr("ginlab.sampler._moment_numerator", sentinel)
+    monkeypatch.setattr("ginlab.sampler.lemma1_rhs", sentinel)
     with pytest.raises(Sentinel):
         duality_check(10, (-0.4, 0.4), 4000, 1)
 
@@ -353,10 +350,10 @@ def test_duality_rhs_helper_is_the_inline_expression_bit_for_bit(monkeypatch, n)
             continue
         pts = np.sort(np.array([x1, x2]))
         m = n - 2
-        total, b = _moment_numerator(m, pts[0], pts[1])
+        total, b = moment_numerator(m, pts[0], pts[1])
         e_m = total / (math.factorial(m) * b**m)
         inline = float(np.sqrt(np.pi) / 4.0 * (pts[1] - pts[0]) * np.exp(-pts[0] ** 2 - pts[1] ** 2) * e_m)
-        assert _duality_rhs(n, pts[0], pts[1]).hex() == inline.hex(), (x1, x2)
+        assert lemma1_rhs(n, pts[0], pts[1]).hex() == inline.hex(), (x1, x2)
         assert duality_check(n, (x1, x2), 4000, 1).rhs.hex() == inline.hex(), (x1, x2)
 
 
@@ -367,7 +364,7 @@ def test_duality_sum_is_the_exponential_partial_sum():
         for x1, x2 in DUALITY_CONFIGS:
             p = Fraction(x1 * x2)
             e_m = sum((2 * p) ** j / math.factorial(j) for j in range(m + 1))
-            total, b = _moment_numerator(m, x1, x2)
+            total, b = moment_numerator(m, x1, x2)
             assert Fraction(total, math.factorial(m) * b**m) == e_m, (m, x1, x2)
             moment = e_m * math.factorial(m) / 2**m
             assert charpoly_moment_quadrature(m, x1, x2) == float(moment), (m, x1, x2)
@@ -385,7 +382,7 @@ def test_moment_numerator_is_the_term_by_term_sum():
     points = DUALITY_CONFIGS + [(1e-300, 1e-20), (-2.5, 0.0)]
     for m in [*range(12), 38, 198, 398]:
         for x1, x2 in points + [tuple(rng.uniform(-3.0, 3.0, 2))]:
-            assert _moment_numerator(m, x1, x2) == _moment_numerator_sum(m, x1, x2), (m, x1, x2)
+            assert moment_numerator(m, x1, x2) == _moment_numerator_sum(m, x1, x2), (m, x1, x2)
 
 
 def test_duality_insufficient_samples():
