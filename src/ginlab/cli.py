@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, heat, kernel, stationary_phase
 from ._rng import stream
-from .errors import UsageError
+from .errors import UsageError, at_least
 from .group_integrals import (
     fit_shape_constant,
     integral_mc_grid,
@@ -251,8 +251,6 @@ def run_mc_spins(cfg):
 
 
 def run_mc_density(cfg):
-    if cfg["n"] < 2:  # one eigenvalue has no pairs: every cell would read 0 +- 0
-        raise UsageError(f"mc-density needs n >= 2, got {cfg['n']}")
     edges = np.linspace(-0.75, 0.75, 5) if cfg["bins"] is None else cfg["bins"]
     dens = estimate_signed_density(cfg["n"], edges, 2, cfg["samples"], cfg["seed"])
     columns = ("lo1", "hi1", "lo2", "hi2", "estimate", "stderr", "closed_form", "zscore")
@@ -484,8 +482,8 @@ def resolve_config(args) -> dict:
         cast, parse, _ = FLAGS[flag]
         value = _resolve(getattr(args, flag), "GINLAB_" + flag.upper(), default, cast)
         cfg[flag] = parse(value) if parse and value is not None else value
-    if "samples" in cfg and cfg["samples"] < 1:
-        raise UsageError("samples must be >= 1")
+    if "samples" in cfg:  # matrix-integral --k 2 reads none, and still refuses 0
+        at_least(cfg["samples"], 1, "samples")
     return cfg
 
 

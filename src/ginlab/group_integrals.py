@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .errors import UsageError, point_array, positive_time
+from .errors import UsageError, at_least, point_array, positive_time
 from .kernel import moment_numerator
 from .pfaffian import canonical_symplectic, pfaffian
-from .sampler import Estimate, _check_samples, _estimate
+from .sampler import Estimate, _estimate
 
 HAAR_BLOCK = 4096
 _HAAR_CHUNK = 512  # draws per QR and trace pass; changes memory, not bits
@@ -195,7 +195,7 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
         raise UsageError("need one or more configurations, all of the same size")
     k = len(configs[0])
     ts = [positive_time(t) for t in ts]
-    _check_samples(samples)
+    samples = at_least(samples, 2, "samples")
     tr_vals = np.empty((len(configs), samples))
     normals = np.empty((2, min(HAAR_BLOCK, samples), k, k))
     width = min(_HAAR_CHUNK, HAAR_BLOCK, samples)
@@ -336,8 +336,7 @@ def charpoly_moment_quadrature(n: int, x1: float, x2: float) -> float:
     :func:`.kernel.moment_numerator` forms it in integers and rounds
     once: the correctly rounded moment at the double x1*x2.
     """
-    if n < 1:
-        raise UsageError(f"matrix size must be positive, got {n}")
+    n = at_least(n, 1, "matrix rows")
     x1, x2 = point_array((x1, x2))
     total, b = moment_numerator(n, x1, x2)
     return total / (2 * b) ** n

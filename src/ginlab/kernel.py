@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError, point_array
+from .errors import UsageError, at_least, point_array
 from .pfaffian import pfaffian
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -234,6 +234,7 @@ def moment_numerator(m: int, x1: float, x2: float) -> tuple:
     det(M - x2)] = N / (2b)^m and e_m(2 x1 x2) = N / (m! b^m), each a
     correctly rounded quotient of integers even where the terms cancel.
     """
+    m = at_least(m, 0, "matrix rows")
     a, b = float(x1 * x2).as_integer_ratio()
     # nested, with c = 2a: N = c^m + m b (c^(m-1) + (m-1) b (... + 1 b)), so
     # each step multiplies by 2a and by i b instead of forming a power afresh
@@ -250,6 +251,7 @@ def lemma1_rhs(n: int, x1: float, x2: float) -> float:
     |S_m| the unit sphere area in R**(m+1), is by the duplication formula
     (sqrt(pi)/4) (x2 - x1) exp(-x1**2 - x2**2) e_{n-2}(2 x1 x2), with e_{n-2} one
     correctly rounded quotient of integers."""
+    n = at_least(n, 2, "matrix rows")
     total, b = moment_numerator(n - 2, x1, x2)
     e_m = total / (math.factorial(n - 2) * b ** (n - 2))
     return float(np.sqrt(np.pi) / 4.0 * (x2 - x1) * np.exp(-x1 ** 2 - x2 ** 2) * e_m)
@@ -277,9 +279,7 @@ def expected_real_count(n: int) -> float:
         even n: sqrt(2) * sum_{0 <= k < n/2} (4k-1)!!/(4k)!!
         odd n:  1 + sqrt(2) * sum_{1 <= k <= (n-1)/2} (4k-3)!!/(4k-2)!!
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise UsageError(f"matrix size must be a positive integer, got {n!r}")
-    n = int(n)
+    n = at_least(n, 1, "matrix rows")
     top = 2 * n - 4
     # S = sum (j-1)!!/j!! = sum C(j, j/2)/2^j over j = top, top-4, ... >= 0 is num/2^top,
     # num by Horner in 2^4; 2 S^2 is rounded once and sqrt(2 S^2) once

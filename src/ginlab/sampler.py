@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from ._rng import stream, streams  # noqa: F401  (stream re-exported: one draw on its own)
-from .errors import UsageError, point_array
+from .errors import UsageError, at_least, point_array
 from .kernel import lemma1_rhs
 from .linalg import Spectrum, real_schur, sign_det
 
@@ -132,21 +132,14 @@ def _draw(n: int, rng: np.random.Generator) -> np.ndarray:
     return _fill_draws(np.empty((1, n, n)), (rng,))[0]
 
 
-def _check_samples(samples: int, min_samples: int = 2) -> None:
-    """Reject a sample count below ``min_samples`` (two give a standard error)."""
-    if samples < min_samples:
-        raise UsageError(f"need at least {min_samples} samples, got {samples}")
-
-
 def _draw_streams(n: int, samples: int, seed: int):
     """The run's generators in index order, draw i's from stream(seed, i).
 
-    The sizes are checked when this is called, before anything is drawn.
+    The sizes are checked when this is called, before anything is drawn;
+    two samples are the fewest that give a standard error.
     """
-    if n < 1:
-        raise UsageError(f"matrix size must be positive, got {n}")
-    _check_samples(samples)
-    return streams(seed, samples)
+    at_least(n, 1, "matrix rows")
+    return streams(seed, at_least(samples, 2, "samples"))
 
 
 def _estimate(vals: np.ndarray, seed: int) -> Estimate:
@@ -161,9 +154,7 @@ def _estimate(vals: np.ndarray, seed: int) -> Estimate:
 
 def sample_ginoe(n: int, rng: np.random.Generator) -> GinOESample:
     """Draw an n x n matrix with iid N(0, 1/2) entries and classify its spectrum."""
-    if n < 1:
-        raise UsageError(f"matrix size must be positive, got {n}")
-    m = _draw(n, rng)
+    m = _draw(at_least(n, 1, "matrix rows"), rng)
     return GinOESample(matrix=m, spectrum=real_schur(m))
 
 
@@ -233,7 +224,7 @@ def estimate_spin_moments(n: int, configs, samples: int, seed: int) -> list:
     of its columns of the spin table.
     """
     cfgs = [point_array(c, even=True) for c in configs]
-    _check_samples(samples, MIN_MOMENT_SAMPLES)
+    at_least(samples, MIN_MOMENT_SAMPLES, "samples")
     points = np.unique(np.concatenate([np.empty(0), *cfgs]))
     spins = _spin_table(n, points, samples, seed)
     return [_estimate(spins[:, np.searchsorted(points, c)].prod(axis=1), seed) for c in cfgs]
@@ -277,6 +268,7 @@ def estimate_signed_density(
     """
     if k % 2 or k <= 0 or k > 4:
         raise UsageError(f"supported k are 2 and 4, got {k}")
+    at_least(n, k, "matrix rows")  # fewer eigenvalues than k: every cell reads 0 +- 0
     intervals = _as_intervals(bins)
     m = len(intervals)
     if m < k:
@@ -391,12 +383,10 @@ def duality_check(
     pts = np.sort(point_array(points))
     if len(pts) != 2 or not pts[1] - pts[0] >= 2 * DUALITY_HALFWIDTH:
         raise UsageError("need two points separated by at least the bin width")
-    if n <= 2:
-        raise UsageError("matrix size must exceed the number of points")
+    at_least(n, 3, "matrix rows")  # more than the number of points
     # kept with its one value because the benchmark's duality workload passes it
     if moment != "quadrature":
         raise UsageError(f"unknown moment method {moment!r}")
-    _check_samples(samples)
     rhs = lemma1_rhs(n, pts[0], pts[1])
     bins = np.array([[pts[0] - DUALITY_HALFWIDTH, pts[0] + DUALITY_HALFWIDTH],
                      [pts[1] - DUALITY_HALFWIDTH, pts[1] + DUALITY_HALFWIDTH]])

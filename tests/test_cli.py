@@ -5,12 +5,13 @@ import math
 import os
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from ginlab import heat, kernel, sampler, stationary_phase
+from ginlab import cli, group_integrals, heat, kernel, sampler, stationary_phase
 from ginlab.cli import (
     CAMPAIGNS,
     _duality_constant_z,
@@ -20,6 +21,7 @@ from ginlab.cli import (
     main,
 )
 from ginlab.kernel import cell_average, lemma1_rhs, lemma1_rhs_average, pair_density, pair_density_n_average
+from ginlab.pfaffian import Matching
 from ginlab.sampler import DUALITY_HALFWIDTH
 
 
@@ -426,8 +428,36 @@ def _tilted(law):
     return lambda n, x1, x2: law(n, x1, x2) * math.exp(x1 + x2)
 
 
+def _scaled(factor):
+    """A break that multiplies a law by ``factor``."""
+    return lambda law: lambda *args: law(*args) * factor
+
+
+def _nudged(toward):
+    """A break that moves a law one ulp toward ``toward``."""
+    return lambda law: lambda *args: np.nextafter(law(*args), toward)
+
+
+def _with_even_kernel(check):
+    """``check`` run while heat._kernel_d1 writes itself plus 1e-3 times its
+    magnitude: a part even in the separation.  Outside the check the kernel
+    is untouched, so signed_density_t keeps its skewness."""
+    kernel_d1 = heat._kernel_d1
+
+    def even(lin, quad, t, out, work):
+        kernel_d1(lin, quad, t, out, work)
+        out += 1e-3 * np.abs(out)
+        return out
+
+    def run(*args):
+        with mock.patch.object(heat, "_kernel_d1", even):
+            return check(*args)
+
+    return run
+
+
 @pytest.mark.parametrize(
-    "argv, module, name, broken, check",
+    "argv, module, names, broken, check",
     [
         # rho_2^n with its sign flipped: every cell's finite-n z grows, while
         # the bulk law the other check reads is untouched
@@ -438,11 +468,50 @@ def _tilted(law):
         # the per-row RHS that duality_check reads, scaled by a factor that
         # depends on the points: the rows' ratios no longer agree
         (["lemma1"], sampler, "lemma1_rhs", _tilted, "duality_ratio_constant"),
+        # both Pfaffians off by the same factor: they still agree, but the
+        # square is off the determinant
+        (["pfaffian-selftest"], cli, "pfaffian pfaffian_matchings", _scaled(1 + 1e-6), "pfaffian_square_equals_det"),
+        (["pfaffian-selftest"], cli, "pfaffian_matchings", _flipped, "tridiagonal_equals_matchings"),
+        # one ulp on the closed forms that are pinned to the last bit; the
+        # coincident kernel block multiplies gauss_tail by sgn(0) = 0
+        (["kernel-table"], kernel, "gauss_tail", _nudged(np.inf), "gauss_tail_at_zero"),
+        (["kernel-table"], kernel, "gauss_tail_d1", _nudged(-np.inf), "one_point_correlation"),
+        (["kernel-table"], kernel, "spin_correlation", _nudged(0.0), "coincident_spin_moment"),
+        (["stationary-phase"], stationary_phase, "phase_pfaffian_ratio", _scaled(1 + 1e-9), "phase_sum_equals_pfaffian"),
+        (["stationary-phase"], stationary_phase, "find_max_matching",
+         lambda law: lambda points: Matching(((1, 3), (2, 4))), "max_matching_consecutive"),
+        # a term the heat equation does not cancel: the residual loses its order h**2
+        (["heat-check"], heat, "signed_density_t", lambda law: lambda x, t: law(x, t) + t, "residual_order_density"),
+        (["heat-check"], cli, "integral_quadrature_k2", lambda law: lambda *args: law(*args) + 1e-3,
+         "residual_order_integral"),
+        (["heat-check"], heat, "delta_prime_target", _scaled(1.1), "odd_pairing_matches_target"),
+        (["heat-check"], heat, "initial_condition_check", _with_even_kernel, "even_pairing_vanishes"),
+        # a shape that drifts with t: the fitted constants spread by about 2%
+        (["matrix-integral"], group_integrals, "exact_shape", lambda law: lambda x, t: law(x, t) * (1.0 + 0.01 * t),
+         "fitted_constant_spread"),
     ],
-    ids=["finite-n-density", "minus-4-over-pi", "ratio-constant"],
+    ids=[
+        "finite-n-density",
+        "minus-4-over-pi",
+        "ratio-constant",
+        "pfaffian-square",
+        "tridiagonal",
+        "gauss-tail-at-zero",
+        "one-point-correlation",
+        "coincident-spin-moment",
+        "phase-sum",
+        "max-matching",
+        "residual-order-density",
+        "residual-order-integral",
+        "odd-pairing",
+        "even-pairing",
+        "fitted-constant-spread",
+    ],
 )
-def test_a_broken_finite_n_law_fails_its_check(tmp_path, capsys, monkeypatch, argv, module, name, broken, check):
-    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+def test_a_broken_law_fails_only_its_check(tmp_path, capsys, monkeypatch, argv, module, names, broken, check):
+    # ``names`` lists the patched functions of ``module``, each broken the same way
+    for name in names.split():
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
     out = tmp_path / f"{argv[0]}.csv"
     assert run_cli([*argv, "--out", str(out)]) == 1
     assert f"FAIL {check}" in capsys.readouterr().out
@@ -574,6 +643,7 @@ def test_usage_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["matrix-integral", "--k", "4", "--points=0.1,0.5", "--samples", "100"],
         # sample counts and bin specs the command line refuses
         ["mc-spins", "--samples", "0"],
+        ["matrix-integral", "--k", "2", "--samples", "0"],  # refused though k = 2 draws none
         ["mc-density", "--bins=0:1"],
         ["mc-density", "--bins", "0.5"],
         # these exited 1 with float()'s and int()'s conversion messages

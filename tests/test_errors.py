@@ -1,15 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ginlab.cli as cli
 import ginlab.group_integrals as gi
 import ginlab.heat as heat
 import ginlab.kernel as kernel
 import ginlab.sampler as sampler
 import ginlab.stationary_phase as sp
-from ginlab.errors import UsageError, point_array, positive_time
+from ginlab.errors import UsageError, at_least, point_array, positive_time
 from ginlab.pfaffian import identity_matching
 
 NAN, INF = float("nan"), float("inf")
+SRC = Path(__file__).resolve().parents[1] / "src" / "ginlab"
 
 
 def _decaying(x1, x2):
@@ -127,8 +132,6 @@ def test_nan_bin_edges_are_usage_errors(no_draws, bins):
 
 #: (name, a call whose parameters other than points and times are refused)
 PARAMETER_TAKERS = [
-    ("sampler.sample_ginoe-n-0", lambda: sampler.sample_ginoe(0, np.random.default_rng(1))),
-    ("kernel.expected_real_count-n-2.5", lambda: kernel.expected_real_count(2.5)),
     ("sampler.duality_check-points-too-close", lambda: sampler.duality_check(10, (0.1, 0.2), 100, 1)),
     ("sampler.duality_check-moment-unknown", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="x")),
     ("sampler.duality_check-moment-mc", lambda: sampler.duality_check(10, (0.1, 0.8), 100, 1, moment="mc")),
@@ -143,6 +146,80 @@ PARAMETER_TAKERS = [
 def test_bad_parameters_are_usage_errors(no_draws, call):
     with pytest.raises(UsageError):
         call()
+
+
+def _resolved(samples):
+    """cli.resolve_config on mc-spins with ``samples`` as the flag's value."""
+    args = cli.build_parser().parse_args(["mc-spins"])
+    args.samples = samples
+    return cli.resolve_config(args)
+
+
+BINS = [-1.0, -0.5, 0.0, 0.5, 1.0]
+CELL = (0.0, 0.25, 0.5, 0.75)
+
+#: (function, parameter, call on that parameter's value, the least value it
+#: takes): every matrix size and sample count of the package
+COUNT_TAKERS = [
+    ("sampler.sample_ginoe", "n", lambda n: sampler.sample_ginoe(n, None), 1),
+    ("sampler.estimate_spin_moments", "n", lambda n: sampler.estimate_spin_moments(n, [(0.0, 0.5)], 100, 1), 1),
+    ("sampler.estimate_spin_moments", "samples",
+     lambda s: sampler.estimate_spin_moments(5, [(0.0, 0.5)], s, 1), sampler.MIN_MOMENT_SAMPLES),
+    # n >= k: with fewer eigenvalues than k every cell would read 0 +- 0
+    ("sampler.estimate_signed_density", "n", lambda n: sampler.estimate_signed_density(n, BINS, 4, 50, 1), 4),
+    ("sampler.estimate_signed_density", "samples", lambda s: sampler.estimate_signed_density(5, BINS, 4, s, 1), 2),
+    ("sampler.estimate_charpoly_moment", "n", lambda n: sampler.estimate_charpoly_moment(n, (0.1, 0.5), 9, 1), 1),
+    ("sampler.estimate_charpoly_moment", "samples",
+     lambda s: sampler.estimate_charpoly_moment(5, (0.1, 0.5), s, 1), 2),
+    ("sampler.estimate_real_count", "n", lambda n: sampler.estimate_real_count(n, 9, 1), 1),
+    ("sampler.estimate_real_count", "samples", lambda s: sampler.estimate_real_count(5, s, 1), 2),
+    ("sampler.duality_check", "n", lambda n: sampler.duality_check(n, (0.1, 0.8), 100, 1), 3),
+    ("sampler.duality_check", "samples", lambda s: sampler.duality_check(10, (0.1, 0.8), s, 1), 2),
+    ("group_integrals.integral_mc_grid", "samples", lambda s: gi.integral_mc_grid([(0.1, 0.5)], [1.0], s, 1), 2),
+    ("group_integrals.charpoly_moment_quadrature", "n", lambda n: gi.charpoly_moment_quadrature(n, 0.1, 0.5), 1),
+    ("kernel.moment_numerator", "m", lambda m: kernel.moment_numerator(m, 0.1, 0.5), 0),
+    ("kernel.lemma1_rhs", "n", lambda n: kernel.lemma1_rhs(n, 0.1, 0.5), 2),
+    ("kernel.lemma1_rhs_average", "n", lambda n: kernel.lemma1_rhs_average(n, *CELL), 2),
+    ("kernel.pair_density_n_average", "n", lambda n: kernel.pair_density_n_average(n, *CELL), 2),
+    ("kernel.expected_real_count", "n", kernel.expected_real_count, 1),
+    ("cli.resolve_config", "samples", _resolved, 1),
+]
+
+
+def _bad_counts(minimum):
+    """The integers among minimum - 1, 0 and -1 below ``minimum``, then two floats."""
+    return [*dict.fromkeys(v for v in (minimum - 1, 0, -1) if v < minimum), 2.5, float(minimum)]
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(fn, bad, id=f"{name}-{param}-{bad}")
+        for name, param, fn, minimum in COUNT_TAKERS
+        for bad in _bad_counts(minimum)
+    ],
+)
+def test_bad_sizes_and_sample_counts_are_usage_errors(no_draws, call, bad):
+    # the one message of errors.at_least: no size or count has a check of its own
+    with pytest.raises(UsageError, match="need a whole number of at least"):
+        call(bad)
+
+
+def _count_parameters(path):
+    """(module.function, parameter) of each public top-level function of
+    ``path`` with a parameter n, samples, or m annotated int (an unannotated
+    m, or an m of another type, is a matrix or a matching)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                is_int = getattr(arg.annotation, "id", None) == "int"
+                if arg.arg in ("n", "samples") or (arg.arg == "m" and is_int):
+                    yield f"{path.stem}.{node.name}", arg.arg
+
+
+def test_every_size_and_sample_count_is_in_the_table():
+    found = {pair for path in sorted(SRC.glob("*.py")) for pair in _count_parameters(path)}
+    assert found - {(name, param) for name, param, _, _ in COUNT_TAKERS} == set()
 
 
 def _untouched(*args):
@@ -185,3 +262,5 @@ def test_helpers_pass_good_values_through():
     assert x.dtype == float and x.tolist() == [0.3, -0.1]
     assert positive_time(np.float64(0.25)) == 0.25
     assert type(positive_time(2)) is float
+    assert at_least(np.int64(3), 3, "samples") == 3
+    assert type(at_least(np.int64(3), 3, "samples")) is int
