@@ -19,12 +19,14 @@ upper-triangular entries carry (x_j - x_i), positive for ordered input.
 
 Monte Carlo draws come in blocks of HAAR_BLOCK unitaries, block b from the
 RNG stream keyed by (seed, b), and the per-draw values are reduced in index
-order: an estimate is fixed, bit for bit, by its seed and HAAR_BLOCK.  Each
-block's Gaussians are drawn at once, then run through QR and the trace in
-chunks of _HAAR_CHUNK draws; every step after the draw treats each draw on
-its own, so the chunk width sets the memory held, never a bit.  For
-two points the integrand is constant over the group, and the integral is
-computed in closed form.
+order: an estimate is fixed, bit for bit, by its seed and HAAR_BLOCK.  A
+block's stream gives all its real Gaussian parts, then the imaginary parts in
+draw order: those of each chunk of _HAAR_CHUNK draws just before the chunk
+goes through QR and the trace.  Every step after the draw treats each draw on
+its own, so the chunk width sets the memory held, never a bit; the grid holds
+the traces, one block's real parts and one chunk.  For two points the
+integrand is constant over the group, and the integral is computed in closed
+form.
 
 The exact two-point determinant moment E_n[det(M - x1) det(M - x2)], the
 oracle for the Monte Carlo moment, is here too; its integer sum is in
@@ -48,19 +50,6 @@ _HAAR_CHUNK = 512  # draws per QR and trace pass; changes memory, not bits
 UNITARITY_TOL = 1e-12
 
 
-def _haar_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill ``out`` (2, count, k, k) with the Gaussians of ``count`` unitaries.
-
-    ``out[0]`` then ``out[1]`` are, bit for bit, ``rng.normal(size=(count,
-    k, k))`` drawn twice: the same standard normals plus the 0.0 that
-    ``normal`` adds as its ``loc`` (-0.0 becomes +0.0).
-    """
-    rng.standard_normal(out=out[0])
-    rng.standard_normal(out=out[1])
-    out += 0.0
-    return out
-
-
 def _haar_from_normals(ar: np.ndarray, ai: np.ndarray) -> np.ndarray:
     """The (count, k, k) Haar unitaries of real and imaginary Gaussian parts.
 
@@ -74,9 +63,26 @@ def _haar_from_normals(ar: np.ndarray, ai: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
+def _haar_chunks(rng: np.random.Generator, real: np.ndarray, imag: np.ndarray):
+    """Yield the Haar unitaries of ``len(real)`` draws, ``len(imag)`` at a time.
+
+    All real Gaussian parts go into ``real`` first, then each chunk's imaginary
+    parts into ``imag``.  The normals are one stream, so this is, bit for bit,
+    ``rng.normal(size=real.shape)`` drawn twice (``+= 0.0`` is its ``loc``,
+    which turns -0.0 into +0.0).
+    """
+    rng.standard_normal(out=real)
+    real += 0.0
+    for lo in range(0, len(real) or 1, len(imag) or 1):  # no draws: one empty chunk
+        ai = imag[:len(real) - lo]
+        rng.standard_normal(out=ai)
+        ai += 0.0
+        yield _haar_from_normals(real[lo:lo + len(ai)], ai)
+
+
 def haar_unitaries(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """A (count, k, k) stack of independent Haar unitaries drawn from ``rng``."""
-    return _haar_from_normals(*_haar_normals(np.empty((2, count, k, k)), rng))
+    return next(_haar_chunks(rng, np.empty((count, k, k)), np.empty((count, k, k))))
 
 
 def to_skew_unitary(u: np.ndarray) -> np.ndarray:
@@ -164,6 +170,36 @@ def _dual_gap_norms(re, im, x, scratch, out) -> None:
     np.sum(np.square(mag, out=mag), axis=(1, 2), out=out)
 
 
+def _grid_traces(configs, samples: int, seed: int) -> np.ndarray:
+    """integral_mc_grid's draw loop: sum |H - H^R|^2 per config and draw.
+
+    Its buffers and every view of them are freed before the estimates."""
+    k = len(configs[0])
+    tr_vals = np.empty((len(configs), samples))
+    width = min(_HAAR_CHUNK, HAAR_BLOCK, samples)
+    real, imag = np.empty((min(HAAR_BLOCK, samples), k, k)), np.empty((width, k, k))
+    planes = np.empty((2, k, k, width))
+    scratch = (
+        np.empty((2, k, k, width)),
+        np.empty((2, k, width)),
+        np.empty((width, k, k), dtype=complex),
+        np.empty((width, k, k)),
+    )
+    for b, done in enumerate(range(0, samples, HAAR_BLOCK)):
+        take = min(HAAR_BLOCK, samples - done)
+        chunks = _haar_chunks(stream(seed, b), real[:take], imag)
+        for lo in range(done, done + take, width):
+            hi = min(lo + width, done + take)
+            u = next(chunks)
+            re, im = planes[..., :hi - lo]
+            np.copyto(re, u.real.transpose(2, 1, 0))
+            np.copyto(im, u.imag.transpose(2, 1, 0))
+            del u  # not held through the next chunk's QR
+            for ci, x in enumerate(configs):
+                _dual_gap_norms(re, im, x, scratch, tr_vals[ci, lo:hi])
+    return tr_vals
+
+
 def integral_mc_grid(configs, ts, samples: int, seed: int):
     """I_t estimates on a (config, t) grid sharing one set of Haar draws.
 
@@ -172,10 +208,12 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
     Returns a list of lists of Estimates, indexed [config][t].  The draws
     are keyed by blocks of HAAR_BLOCK unitaries, read at call time: block b
     comes from stream(seed, b), so another block size draws other unitaries.
-    A block's Gaussians are drawn into one buffer, then go through QR and the
-    trace _HAAR_CHUNK draws at a time.  Each matrix is factored on its own
-    and every later step is elementwise or a sum within one draw, so the
-    chunk width bounds the temporaries held and changes no bit.
+    A block's real Gaussian parts are drawn into one buffer, then each chunk
+    of _HAAR_CHUNK draws has its imaginary parts drawn and goes through QR and
+    the trace.  Each matrix is factored on its own and every later step is
+    elementwise or a sum within one draw, so the chunk width bounds the
+    temporaries held and changes no bit: the grid holds the traces, one
+    block's real parts and one chunk.
 
     Each chunk of unitaries is copied once into real and imaginary planes
     with the draw index last, so every product is one whole-array pass.
@@ -193,35 +231,9 @@ def integral_mc_grid(configs, ts, samples: int, seed: int):
     configs = [point_array(c, even=True) for c in configs]
     if len({len(c) for c in configs}) != 1:
         raise UsageError("need one or more configurations, all of the same size")
-    k = len(configs[0])
     ts = [positive_time(t) for t in ts]
     samples = at_least(samples, 2, "samples")
-    tr_vals = np.empty((len(configs), samples))
-    normals = np.empty((2, min(HAAR_BLOCK, samples), k, k))
-    width = min(_HAAR_CHUNK, HAAR_BLOCK, samples)
-    planes = np.empty((2, k, k, width))
-    scratch = (
-        np.empty((2, k, k, width)),
-        np.empty((2, k, width)),
-        np.empty((width, k, k), dtype=complex),
-        np.empty((width, k, k)),
-    )
-    done = 0
-    b = 0
-    while done < samples:
-        take = min(HAAR_BLOCK, samples - done)
-        ar, ai = _haar_normals(normals[:, :take], stream(seed, b))
-        for lo in range(0, take, width):
-            hi = min(lo + width, take)
-            u = _haar_from_normals(ar[lo:hi], ai[lo:hi])
-            re, im = planes[..., :hi - lo]
-            np.copyto(re, u.real.transpose(2, 1, 0))
-            np.copyto(im, u.imag.transpose(2, 1, 0))
-            del u  # not held through the next chunk's QR
-            for ci, x in enumerate(configs):
-                _dual_gap_norms(re, im, x, scratch, tr_vals[ci, done + lo:done + hi])
-        done += take
-        b += 1
+    tr_vals = _grid_traces(configs, samples, seed)
     vals = np.empty(samples)  # exp(-tr / (2t)), one operation at a time in one array
     return [
         [

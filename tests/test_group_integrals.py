@@ -326,19 +326,31 @@ def test_integral_mc_grid_bits_do_not_depend_on_the_chunk_width(monkeypatch, k):
     assert all(h == hexes[0] for h in hexes[1:])
 
 
-def test_integral_mc_grid_holds_one_chunk_of_temporaries():
+def _grid_peak():
+    """tracemalloc peak of a 3 x 3 grid of 100000 k = 4 draws, in bytes."""
     configs = [tuple(np.asarray((-0.9, -0.3, 0.3, 0.9)) * s) for s in (1.0, 0.75, 1.25)]
     ts = (0.9, 1.3, 2.0)
     integral_mc_grid(configs, ts, 64, 0)  # one-time allocations are not the grid's
     tracemalloc.start()
     try:
         integral_mc_grid(configs, ts, 100_000, 7)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak holds 2.4 MB of traces, 1 MB of Gaussians and one chunk's QR;
-    # a whole 4096-draw block through QR at once peaked at 10.9 MB
-    assert peak < 7e6
+
+
+def test_integral_mc_grid_holds_one_chunk_of_temporaries():
+    # the draw loop holds 2.4 MB of traces, one block's 0.5 MB of real
+    # Gaussian parts and one chunk's imaginary parts and QR; a whole
+    # 4096-draw block through QR at once peaked at 10.9 MB
+    assert _grid_peak() < 7e6
+
+
+def test_integral_mc_grid_frees_its_draw_buffers_before_the_estimates():
+    # 4.05 MB: the traces with either the draw loop's buffers or the
+    # estimates' two 0.8 MB arrays, never both.  Holding both parts of a
+    # block (1 MB) and the loop's buffers through the estimates read 5.55 MB.
+    assert _grid_peak() < 4.5e6
 
 
 def test_charpoly_quadrature_small_n_closed_forms():
