@@ -15,19 +15,21 @@ Conventions
 
 Spin variables: spin(x) of a matrix is (-1)**(number of real eigenvalues
 strictly below x), which is the sign of det(M - xI) away from the spectrum.
-Both spin estimators reduce one (draws x points) table of spins, and that
-table is built from determinant signs, not eigenvalues: each draw of a block
-is written once into one stack, copied to every point and shifted, and a
-single batched ``np.linalg.slogdet`` gives all the signs.  A zero sign (a
-point on the spectrum to working precision) raises
-:class:`DegenerateShiftError`.  The signed weight of the eigenvalues in a
-bin [lo, hi) telescopes to (spin(lo) - spin(hi)) / 2.  The Monte Carlo
-characteristic-polynomial moment reads the same stack of shifted
-determinants, sign and log magnitude.  The real-eigenvalue count,
-:func:`sample_ginoe` and ``spin(sample, x, check=True)`` read the
-eigenvalues of :func:`.linalg.real_schur`, split by LAPACK's real Schur
-blocks; there, at an eigenvalue, the strictly-below count (left limit) is
-used.
+Spins come from determinant signs, not eigenvalues: a block of draws is
+copied to every point and shifted, and a single batched
+``np.linalg.slogdet`` gives all the signs (:func:`_shifted_slogdet`).  A
+zero sign (a point on the spectrum to working precision) raises
+:class:`DegenerateShiftError`.  The spin moments reduce the (draws x points)
+table of spins.  The signed weight of the eigenvalues in a bin [lo, hi)
+telescopes to (spin(lo) - spin(hi)) / 2, and the signed density factors
+only the shifts its distinct cells can read: every draw at the edges of
+bins 0 ... m - k, and the rest of the edges only for the draws with a
+nonzero weight there.  The Monte Carlo characteristic-polynomial moment
+reads the same shifted determinants, sign and log magnitude.  The
+real-eigenvalue count, :func:`sample_ginoe` and ``spin(sample, x,
+check=True)`` read the eigenvalues of :func:`.linalg.real_schur`, split by
+LAPACK's real Schur blocks; there, at an eigenvalue, the strictly-below
+count (left limit) is used.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ MIN_MOMENT_SAMPLES = 100
 # noise the binned density must reach.
 DUALITY_HALFWIDTH = 0.125
 DUALITY_MIN_SNR = 3.0
-# Bytes of one stack of shifted draws handed to a batched slogdet: a block
+# Bytes of a block's draws shifted to all of an estimator's points: a block
 # stays cache-sized and adds nothing measurable to a run's peak memory (at
-# n=100 with four points a block is one draw).
+# n=100 with four points a block is one draw).  The signed density sizes
+# its blocks by all its bin edges, though it factors most draws at fewer.
 _SHIFT_BLOCK_BYTES = 1 << 18
 
 
@@ -163,36 +166,82 @@ def _spins(reals: np.ndarray, points) -> np.ndarray:
     return np.where(np.searchsorted(reals, points, side="left") % 2, -1.0, 1.0)
 
 
-def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int):
-    """Yield (sign, logabsdet) of det(M_i - x_j I) a block of draws at a time.
+def _draw_blocks(n: int, p: int, samples: int, seed: int):
+    """Yield (start, draws): the run's draws a block at a time, in index order.
 
-    Each yielded array is (draws in block, points), rows in draw order; a
-    block holds as many draws as keep their shifted stack within
-    _SHIFT_BLOCK_BYTES, and at least one.  Each draw is written once, into
-    its first point's row, and copied to the other points.
+    ``draws`` is (count, n, n), row r being draw start + r.  A block holds
+    as many draws as keep their stack shifted to ``p`` points within
+    _SHIFT_BLOCK_BYTES, and at least one.
     """
     rngs = _draw_streams(n, samples, seed)
-    p = len(points)
     block = max(1, _SHIFT_BLOCK_BYTES // (8 * max(p, 1) * n * n))
-    diagonal = np.arange(n) * (n + 1)
     for start in range(0, samples, block):
-        count = min(block, samples - start)
-        stack = np.empty((count, p, n * n))
-        _fill_draws(stack[:, 0], rngs)
-        stack[:, 1:] = stack[:, :1]
-        stack[:, :, diagonal] -= points[:, None]
-        yield np.linalg.slogdet(stack.reshape(count, p, n, n))
+        yield start, _fill_draws(np.empty((min(block, samples - start), n, n)), rngs)
+
+
+def _shifted_slogdet(draws: np.ndarray, points: np.ndarray):
+    """(sign, logabsdet) of det(M_i - x_j I), one row per draw and one column per point.
+
+    Each draw is copied to every point and shifted, and one batched
+    ``np.linalg.slogdet`` factors the whole stack.
+    """
+    count, n, _ = draws.shape
+    stack = np.empty((count, len(points), n * n))
+    stack[:] = draws.reshape(count, 1, n * n)
+    stack[:, :, :: n + 1] -= points[:, None]
+    return np.linalg.slogdet(stack.reshape(count, len(points), n, n))
+
+
+def _shifted_slogdets(n: int, points: np.ndarray, samples: int, seed: int):
+    """Yield :func:`_shifted_slogdet` of the run's draws at ``points``, a block at a time."""
+    for _, draws in _draw_blocks(n, len(points), samples, seed):
+        yield _shifted_slogdet(draws, points)
+
+
+def _checked(sign: np.ndarray, points: np.ndarray, rows, seed: int) -> np.ndarray:
+    """``sign``, unless it holds a zero; ``rows`` are its rows' run-wide draw indices."""
+    if not sign.all():
+        r, j = np.argwhere(sign == 0)[0]
+        raise DegenerateShiftError(
+            f"det(M - {float(points[j])!r} I) is zero for draw {int(rows[r])} of seed {seed}"
+        )
+    return sign
 
 
 def _spin_table(n: int, points: np.ndarray, samples: int, seed: int):
     """(samples, len(points)) table of spins sign det(M_i - x_j I); row i is draw i."""
     table = np.concatenate([sign for sign, _ in _shifted_slogdets(n, points, samples, seed)])
-    if not table.all():
-        i, j = np.argwhere(table == 0)[0]
-        raise DegenerateShiftError(
-            f"det(M - {float(points[j])!r} I) is zero for draw {i} of seed {seed}"
-        )
-    return table
+    return _checked(table, points, range(samples), seed)
+
+
+def _bin_weights(n: int, intervals: np.ndarray, k: int, samples: int, seed: int):
+    """(samples, m) table of bin weights (spin(lo) - spin(hi)) / 2, for cells of k distinct bins.
+
+    Every draw is factored at the edges of bins 0 ... m - k, and only the
+    draws with a nonzero weight there at the other edges; the rest keep
+    weight 0 in the last k - 1 bins.
+    """
+    m = len(intervals)
+    reach = m - k + 1  # bins 0 ... m - k
+    edges = np.unique(intervals)
+    lo, hi = np.searchsorted(edges, intervals).T
+    near = np.union1d(lo[:reach], hi[:reach])
+    far = np.setdiff1d(np.arange(len(edges)), near)
+    weights = []
+    for start, draws in _draw_blocks(n, len(edges), samples, seed):
+        rows = np.arange(start, start + len(draws))
+        spins = np.empty((len(draws), len(edges)))
+        sign, _ = _shifted_slogdet(draws, edges[near])
+        spins[:, near] = _checked(sign, edges[near], rows, seed)
+        w = np.zeros((len(draws), m))
+        w[:, :reach] = (spins[:, lo[:reach]] - spins[:, hi[:reach]]) / 2.0
+        live = w.any(axis=1)
+        if live.any():
+            sign, _ = _shifted_slogdet(draws[live], edges[far])
+            spins[np.ix_(live, far)] = _checked(sign, edges[far], rows[live], seed)
+            w[live] = (spins[live][:, lo] - spins[live][:, hi]) / 2.0
+        weights.append(w)
+    return np.concatenate(weights)
 
 
 def spin(sample: GinOESample, x: float, check: bool = True) -> int:
@@ -265,6 +314,14 @@ def estimate_signed_density(
     additionally carries the parity of its bin-index tuple, producing the
     antisymmetric (Vandermonde) orientation that matches the closed-form
     signed density on unordered cells.
+
+    A draw whose weights in bins 0 ... m - k are all 0 reaches no cell of
+    distinct bins, so it is not factored at the other edges (see
+    :func:`_bin_weights`).  The estimate keeps every bit of factoring all
+    shifts: only the sign of a zero term changes, and the cells that
+    repeat a bin are NaN.  A zero determinant sign at a factored shift
+    raises DegenerateShiftError; a shift that is not factored cannot,
+    since the estimate does not read it.
     """
     if k % 2 or k <= 0 or k > 4:
         raise UsageError(f"supported k are 2 and 4, got {k}")
@@ -273,10 +330,7 @@ def estimate_signed_density(
     m = len(intervals)
     if m < k:
         raise UsageError(f"need at least k={k} disjoint bins, got {m}")
-    edges = np.unique(intervals)
-    spins = _spin_table(n, edges, samples, seed)
-    lo, hi = np.searchsorted(edges, intervals).T
-    w = (spins[:, lo] - spins[:, hi]) / 2.0
+    w = _bin_weights(n, intervals, k, samples, seed)
     cells = {2: "za,zb->ab", 4: "za,zb,zc,zd->abcd"}[k]
     acc = np.einsum(cells, *[w] * k)
     acc2 = np.einsum(cells, *[w * w] * k)

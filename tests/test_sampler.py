@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from ginlab.sampler import (
     ENTRY_VARIANCE,
     DegenerateShiftError,
     GinOESample,
+    _bin_weights,
     _draw,
     _draw_streams,
     _fill_draws,
@@ -446,6 +448,25 @@ def test_draw_loop_reproduces_per_draw_streams(seed):
         assert np.array_equal(got, stream(seed, i).integers(0, 2**32, size=3))
 
 
+@pytest.mark.parametrize("typed, seed", [(np.int64, 5), (np.int64, -3), (np.uint64, 5), (np.uint64, 2**63)])
+def test_numpy_integer_seeds_key_as_the_equal_python_int(typed, seed):
+    for i, rng in enumerate(streams(typed(seed), 3)):
+        assert np.array_equal(rng.normal(size=4), stream(seed, i).normal(size=4))
+    assert np.array_equal(stream(typed(seed), typed(2)).normal(size=4), stream(seed, 2).normal(size=4))
+    got = estimate_signed_density(6, [-1.0, 0.0, 1.0], 2, 50, typed(seed))
+    want = estimate_signed_density(6, [-1.0, 0.0, 1.0], 2, 50, seed)
+    assert got.weighted_counts.tobytes() == want.weighted_counts.tobytes()
+
+
+def test_a_float_seed_or_index_is_a_type_error():
+    with pytest.raises(TypeError):
+        stream(5.0, 0)
+    with pytest.raises(TypeError):
+        stream(5, 0.0)
+    with pytest.raises(TypeError):
+        next(streams(5.0, 3))
+
+
 def _reference_draw(n, rng):
     return rng.normal(scale=np.sqrt(ENTRY_VARIANCE), size=(n, n))
 
@@ -457,7 +478,7 @@ def test_draw_is_bit_for_bit_normal(seed):
             want = _reference_draw(n, stream(seed, i))
             assert np.array_equal(_draw(n, stream(seed, i)), want)
             assert np.array_equal(sample_ginoe(n, stream(seed, i)).matrix, want)
-        # rows of a strided view, as the shifted stack hands them over
+        # rows of a strided view fill as contiguous rows do
         out = np.empty((5, 2, n * n))
         assert _fill_draws(out[:, 0], streams(seed, 5)).base is out
         for i in range(5):
@@ -504,6 +525,100 @@ def test_spin_table_raises_on_a_zero_determinant_sign():
     a = _draw(1, stream(seed, 0))[0, 0]  # draw 0 is the 1 x 1 matrix [a]
     with pytest.raises(DegenerateShiftError):
         estimate_spin_moments(1, [(a, a + 1.0)], 100, seed)
+
+
+def _full_table_weights(n, intervals, k, samples, seed):
+    """Every draw's bin weights from its spins at every edge, pruning nothing."""
+    edges = np.unique(intervals)
+    spins = _spin_table(n, edges, samples, seed)
+    lo, hi = np.searchsorted(edges, intervals).T
+    return (spins[:, lo] - spins[:, hi]) / 2.0
+
+
+def _duality_bins(x1, x2):
+    h = DUALITY_HALFWIDTH
+    return [[x1 - h, x1 + h], [x2 - h, x2 + h]]
+
+
+#: lemma1's default points
+LEMMA1_POINTS = [(-0.4, 0.4), (-0.2, 0.6), (0.1, 0.8)]
+#: GOLDEN's four bins, with one gap
+GOLDEN_BINS = [[-4.0, -1.5], [-1.5, -0.1], [0.1, 1.5], [1.5, 4.0]]
+#: (n, bins, k, samples, oriented): lemma1's bins, mc-density's default bins
+#: and GOLDEN's bins
+DENSITY_CASES = [
+    *[pytest.param(10, _duality_bins(*p), 2, 8000, False, id=f"lemma1{p}") for p in LEMMA1_POINTS],
+    pytest.param(10, np.linspace(-0.75, 0.75, 5), 2, 4000, False, id="mc-density"),
+    *[
+        pytest.param(30, GOLDEN_BINS, k, 100, o, id=f"golden-k{k}-{o}")
+        for k in (2, 4)
+        for o in (False, True)
+    ],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**63])
+@pytest.mark.parametrize("n, bins, k, samples, oriented", DENSITY_CASES)
+def test_pruned_signed_density_is_the_full_table_bit_for_bit(
+    monkeypatch, n, bins, k, samples, oriented, seed
+):
+    got = estimate_signed_density(n, bins, k, samples, seed, oriented=oriented)
+    monkeypatch.setattr("ginlab.sampler._bin_weights", _full_table_weights)
+    want = estimate_signed_density(n, bins, k, samples, seed, oriented=oriented)
+    for field in ("weighted_counts", "normalization", "stderr", "values"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def test_signed_density_factors_the_second_bin_only_for_draws_in_the_first(monkeypatch):
+    n, samples, seed = 10, 8000, 1
+    bins = _duality_bins(-0.4, 0.4)
+    first = _spin_table(n, np.array(bins[0]), samples, seed)
+    reached = int(np.count_nonzero(first[:, 0] != first[:, 1]))
+    factored = []
+    slogdet = np.linalg.slogdet
+
+    def counting(a):
+        factored.append(int(np.prod(a.shape[:-2])))
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    estimate_signed_density(n, bins, 2, samples, seed)
+    assert sum(factored) == 2 * samples + 2 * reached
+    assert sum(factored) < 4 * samples
+
+
+def test_signed_density_raises_on_a_zero_sign_at_a_first_bin_edge():
+    seed, samples = 41, 9000
+    # draw 8500, past the first block, is the 1 x 1 matrix [a]; the
+    # estimator refuses n < k before drawing, so 1 x 1 draws reach only its weights
+    a = _draw(1, stream(seed, 8500))[0, 0]
+    why = f"det(M - {float(a)!r} I) is zero for draw 8500 of seed 41"
+    with pytest.raises(DegenerateShiftError, match=re.escape(why)):
+        _bin_weights(1, np.array([[a - 1.0, a], [a + 1.0, a + 2.0]]), 2, samples, seed)
+
+
+@pytest.mark.parametrize("edge, reached, raises", [(0, True, True), (2, True, True), (2, False, False)])
+def test_signed_density_raises_on_a_zero_sign_only_where_it_factors(monkeypatch, edge, reached, raises):
+    # edge 0 is factored for every draw; edge 2 only for draws with weight in the first bin
+    n, samples, seed = 10, 8000, 1
+    bins = _duality_bins(-0.4, 0.4)
+    first = _spin_table(n, np.array(bins[0]), samples, seed)
+    draw = int(np.flatnonzero((first[:, 0] != first[:, 1]) == reached)[300])
+    x = np.unique(bins)[edge]
+    target = _reference_draw(n, stream(seed, draw)) - x * np.eye(n)
+    slogdet = np.linalg.slogdet
+
+    def zeroing(a):
+        sign, logabs = slogdet(a)
+        return np.where((a == target).all(axis=(-2, -1)), 0.0, sign), logabs
+
+    monkeypatch.setattr(np.linalg, "slogdet", zeroing)
+    if raises:
+        why = f"det(M - {float(x)!r} I) is zero for draw {draw} of seed 1"
+        with pytest.raises(DegenerateShiftError, match=re.escape(why)):
+            estimate_signed_density(n, bins, 2, samples, seed)
+    else:
+        estimate_signed_density(n, bins, 2, samples, seed)
 
 
 def _digest(a):
